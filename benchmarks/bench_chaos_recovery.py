@@ -29,7 +29,14 @@ from benchmarks.conftest import BENCH_QUALITY, update_bench_json, write_result
 from repro.core import EMVSConfig, EngineSpec
 from repro.eval.reporting import Table
 from repro.events.datasets import load_sequence
-from repro.serve import FaultKind, FaultPlan, ReconstructionService, RetryPolicy
+from repro.serve import (
+    CacheConfig,
+    FaultKind,
+    FaultPlan,
+    JobOptions,
+    ReconstructionService,
+    RetryPolicy,
+)
 
 #: Segments the degradation scenario abandons (persistent faults).
 PARTIAL_TARGETS = (1, 3)
@@ -51,13 +58,13 @@ def _workload():
     return events, spec
 
 
-def _timed_run(events, spec, workers, **reliability):
-    """One served job under ``reliability`` -> (result, stats, seconds)."""
+def _timed_run(events, spec, workers, options=None):
+    """One served job under ``options`` -> (result, stats, seconds)."""
     with ReconstructionService(
-        workers=workers, executor="thread", cache_size=0
+        workers=workers, executor="thread", cache=CacheConfig(job_entries=0)
     ) as service:
         t0 = time.perf_counter()
-        job_id = service.submit(events, spec, **reliability)
+        job_id = service.submit(events, spec, options=options)
         result = service.result(job_id, timeout=600.0)
         elapsed = time.perf_counter() - t0
         return result, service.stats(), elapsed
@@ -78,8 +85,10 @@ def test_chaos_recovery(benchmark):
         events,
         spec,
         workers,
-        faults=FaultPlan(FaultKind.TRANSIENT, seed=0, rate=1.0, max_failures=1),
-        retry=RetryPolicy(max_attempts=3),
+        JobOptions(
+            faults=FaultPlan(FaultKind.TRANSIENT, seed=0, rate=1.0, max_failures=1),
+            retry=RetryPolicy(max_attempts=3),
+        ),
     )
     assert healed_stats.segments_retried == n_segments
     assert healed.profile.counters() == clean.profile.counters()
@@ -91,8 +100,10 @@ def test_chaos_recovery(benchmark):
         events,
         spec,
         workers,
-        faults=FaultPlan(FaultKind.PERSISTENT, targets=PARTIAL_TARGETS),
-        allow_partial=True,
+        JobOptions(
+            faults=FaultPlan(FaultKind.PERSISTENT, targets=PARTIAL_TARGETS),
+            allow_partial=True,
+        ),
     )
     assert partial.missing_segments == PARTIAL_TARGETS
     assert partial_stats.jobs_partial == 1

@@ -148,12 +148,12 @@ def test_sec21_host_measured_breakdown(benchmark, sequences):
 
 
 #: The software backends the perf trajectory tracks, slowest first.
-NUMPY_BACKENDS = ("numpy-reference", "numpy-fast", "numpy-batch")
+NUMPY_BACKENDS = ("numpy-reference", "numpy-batch")
 
-#: Plus the compiled backend, when a kernel provider loaded on this host
-#: (on-demand cc build, installed extension, or numba) — see
-#: ``repro.native``.  The comparison degrades gracefully to the numpy
-#: trio on hosts with neither.
+#: Plus the compiled backend, when the C kernels loaded on this host
+#: (on-demand cc build or installed extension) — see ``repro.native``.
+#: The comparison degrades gracefully to the numpy pair on hosts with
+#: neither.
 SPEEDUP_BACKENDS = NUMPY_BACKENDS + (
     ("native-batch",) if "native-batch" in BACKENDS else ()
 )
@@ -170,15 +170,14 @@ def hot_seconds(profile) -> float:
 def test_sec21_backend_speedup(benchmark, sequences):
     """All numpy engine backends on the same workload, tracked as JSON.
 
-    ``numpy-fast`` fuses the miss masking and votes through a dump voxel;
     ``numpy-batch`` executes whole buffered frame batches as fused array
     passes (stacked parameter computation, one batched canonical matmul,
     border-padded nearest voting with one scatter per batch);
-    ``native-batch`` (when a kernel provider is available) runs the same
+    ``native-batch`` (when the C kernels load) runs the same
     batched dataflow with the φ tables and the fused proportional + vote
     scatter in compiled code.  Every backend must produce identical
     output; the batch backend must at least halve the reference hot
-    stage and beat ``numpy-fast``; the native backend must reach 5x over
+    stage; the native backend must reach 5x over
     the reference hot stage and beat ``numpy-batch``.
 
     Besides the rendered table, the measured numbers land in
@@ -233,13 +232,11 @@ def test_sec21_backend_speedup(benchmark, sequences):
             "votes_cast": result.profile.votes_cast,
             "n_points": result.n_points,
         }
-    fast, _ = best["numpy-fast"]
     batch, _ = best["numpy-batch"]
-    hot_fast = hot_seconds(fast.profile)
     hot_batch = hot_seconds(batch.profile)
     note = (
         "hot stage = P(Z0) + P(Z0->Zi)+R; speedup vs reference: "
-        f"fast {hot_ref / hot_fast:.2f}x, batch {hot_ref / hot_batch:.2f}x"
+        f"batch {hot_ref / hot_batch:.2f}x"
     )
     if "native-batch" in best:
         native, _ = best["native-batch"]
@@ -261,18 +258,15 @@ def test_sec21_backend_speedup(benchmark, sequences):
         result, _ = best[name]
         assert result.profile.votes_cast == ref.profile.votes_cast
         assert result.n_points == ref.n_points
-    # ...a faster hot stage for numpy-fast (the claim it exists for)...
-    assert hot_fast < hot_ref
-    # ...and the segment-batched bar: at least 2x over the reference hot
-    # stage while also beating the per-frame fused backend.
+    # ...the segment-batched bar: at least 2x over the reference hot
+    # stage...
     assert hot_batch <= hot_ref / 2.0, (
         f"numpy-batch hot stage {hot_batch:.3f}s vs reference {hot_ref:.3f}s "
         f"({hot_ref / hot_batch:.2f}x < 2.0x)"
     )
-    assert hot_batch < hot_fast
     # ...and the compiled bar: at least 5x over the reference hot stage
     # while also beating the numpy batch backend (gated in CI bench-smoke
-    # whenever a kernel provider is available there).
+    # whenever the C kernels load there).
     if "native-batch" in best:
         assert hot_native <= hot_ref / 5.0, (
             f"native-batch hot stage {hot_native:.3f}s vs reference "

@@ -30,7 +30,7 @@ from benchmarks.conftest import BENCH_QUALITY, update_bench_json, write_result
 from repro.core import EMVSConfig, EngineSpec, MappingOrchestrator
 from repro.eval.reporting import Table
 from repro.events.datasets import load_sequence
-from repro.serve import ReconstructionService
+from repro.serve import CacheConfig, ReconstructionService
 
 #: Concurrent-session levels the load generator sweeps.
 SESSION_LEVELS = (1, 4, 16)
@@ -60,7 +60,7 @@ def _make_jobs(seq):
 
 def _run_level(jobs, spec, sessions, workers):
     with ReconstructionService(
-        workers=workers, queue_limit=len(jobs), cache_size=0
+        workers=workers, queue_limit=len(jobs), cache=CacheConfig(job_entries=0)
     ) as service:
         ids = [
             service.submit(events, spec, session=f"s{i % sessions}")
@@ -91,7 +91,7 @@ def test_serve_throughput(benchmark):
     workers = min(4, os.cpu_count() or 1)
 
     # Determinism under load: served output == direct orchestrator run.
-    with ReconstructionService(workers=workers, cache_size=0) as service:
+    with ReconstructionService(workers=workers, cache=CacheConfig(job_entries=0)) as service:
         probe = service.result(service.submit(jobs[0], spec))
     direct = MappingOrchestrator(
         seq.camera,
@@ -107,7 +107,7 @@ def test_serve_throughput(benchmark):
     levels = [_run_level(jobs, spec, sessions, workers) for sessions in SESSION_LEVELS]
 
     # Cache path: an identical resubmission must not dispatch anything.
-    with ReconstructionService(workers=workers, cache_size=8) as service:
+    with ReconstructionService(workers=workers, cache=CacheConfig(job_entries=8)) as service:
         miss_id = service.submit(jobs[0], spec)
         service.result(miss_id)
         miss_ms = service.poll(miss_id).latency_seconds * 1e3

@@ -29,7 +29,7 @@ from benchmarks.conftest import BENCH_QUALITY, update_bench_json, write_result
 from repro.core import EMVSConfig, EngineSpec
 from repro.eval.reporting import Table
 from repro.events.datasets import load_sequence
-from repro.serve import ReconstructionService
+from repro.serve import CacheConfig, ReconstructionService
 
 #: Driver cadences swept (milliseconds of events per feed).
 CHUNK_MS_LEVELS = (10.0, 50.0)
@@ -37,7 +37,7 @@ CHUNK_MS_LEVELS = (10.0, 50.0)
 
 def _run_stream(events, spec, chunk_ms, workers):
     chunk = chunk_ms * 1e-3
-    with ReconstructionService(workers=workers, cache_size=0) as service:
+    with ReconstructionService(workers=workers, cache=CacheConfig(job_entries=0)) as service:
         t0 = time.perf_counter()
         with service.open_stream(spec) as stream:
             updates = []
@@ -91,7 +91,7 @@ def test_stream_latency(benchmark):
     workers = min(2, os.cpu_count() or 1)
 
     # Ground truth: one-shot batch submission of the same events.
-    with ReconstructionService(workers=1, cache_size=0) as service:
+    with ReconstructionService(workers=1, cache=CacheConfig(job_entries=0)) as service:
         batch = service.result(service.submit(events, spec))
 
     levels = []

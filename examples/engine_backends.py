@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""One dataflow, four substrates: the engine's backend registry.
+"""One dataflow, several substrates: the engine's backend registry.
 
 Runs the same reformulated EMVS dataflow through every registered
 execution backend — ``numpy-reference`` (per-frame scatter votes),
-``numpy-fast`` (fused per-frame votes), ``numpy-batch`` (segment-batched
-fused passes over buffered frame batches) and ``hardware-model`` (the
-cycle-accurate accelerator datapath) — and shows that the point clouds
+``numpy-batch`` (segment-batched fused passes over buffered frame
+batches), ``native-batch`` (the same passes in compiled C, when the C
+kernels load) and ``hardware-model`` (the cycle-accurate accelerator
+datapath) — and shows that the point clouds
 are identical while the costs differ: wall-clock for the NumPy backends,
 modelled cycles/energy for the hardware.
 

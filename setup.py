@@ -5,8 +5,8 @@ declarative config cannot express: the *optional* native kernel
 extension.  ``repro.native._ckernels`` is a plain C shared library (no
 Python.h) loaded through ctypes, so ``optional=True`` keeps source
 installs working on hosts without a toolchain — the native package then
-falls back to an on-demand ``cc`` build or the numba provider at import
-time.  Set ``REPRO_SKIP_CEXT=1`` to skip the build entirely (CI's
+falls back to an on-demand ``cc`` build at import time (and, without
+any compiler, the ``native-batch`` backend is simply not registered).  Set ``REPRO_SKIP_CEXT=1`` to skip the build entirely (CI's
 no-toolchain job uses it to prove the pure-python path).
 """
 

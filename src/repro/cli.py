@@ -160,7 +160,7 @@ def _cmd_reconstruct_rig(args) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     _resolve_backend(args.backend)
-    policy = _resolve_policy(args.policy or args.pipeline)
+    policy = _resolve_policy(args.policy)
     try:
         seq = load_rig_sequence(args.rig, quality=args.quality)
     except KeyError as e:
@@ -233,9 +233,7 @@ def _cmd_reconstruct(args) -> int:
     if args.min_cameras is not None:
         raise SystemExit("--min-cameras requires --rig")
     _resolve_backend(args.backend)
-    # --policy overrides the legacy --pipeline spelling; both name the same
-    # dataflow presets.
-    policy = _resolve_policy(args.policy or args.pipeline)
+    policy = _resolve_policy(args.policy)
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     if args.fuse_voxel is not None and args.fuse_voxel <= 0:
@@ -787,16 +785,12 @@ def build_parser() -> argparse.ArgumentParser:
              "only; default 2 when the rig has at least two cameras)",
     )
     p_rec.add_argument("--quality", choices=("full", "fast"), default="full")
-    p_rec.add_argument(
-        "--pipeline", choices=("original", "reformulated"), default="reformulated",
-        help="legacy alias of --policy",
-    )
     # --policy/--backend are validated against the live registries at run
     # time (not argparse choices), so registered extensions are accepted
     # and unknown names get an error listing what exists.
     p_rec.add_argument(
-        "--policy", default=None,
-        help="dataflow policy preset (overrides --pipeline; see `repro info`)",
+        "--policy", default="reformulated",
+        help="dataflow policy preset (see `repro info`)",
     )
     p_rec.add_argument(
         "--backend",

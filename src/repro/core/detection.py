@@ -12,8 +12,6 @@ runs on the *confidence map* (per-pixel maximum score along depth):
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
@@ -70,9 +68,10 @@ def median_reject(
         ys_dst = slice(max(0, dy), min(h, h + dy))
         xs_dst = slice(max(0, dx), min(w, w + dx))
         stack[i, ys_dst, xs_dst] = sparse[ys_src, xs_src]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
-        local_median = np.nanmedian(stack, axis=0)
+    # Only detected pixels need a median, and each one's window holds the
+    # pixel itself, so no selected column is all-NaN.
+    local_median = np.full((h, w), np.nan)
+    local_median[mask] = np.nanmedian(stack[:, mask], axis=0)
     good = np.abs(depth - local_median) <= 0.15 * np.abs(local_median)
     return mask & np.where(np.isfinite(local_median), good, True)
 

@@ -99,21 +99,26 @@ def vote_nearest_into(
     return int(lin.size)
 
 
-def _bilinear_terms_core(
-    uu: np.ndarray,
-    vv: np.ndarray,
+def bilinear_vote_terms(
+    u: np.ndarray,
+    v: np.ndarray,
     shape: tuple[int, int, int],
-    finite: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Corner expansion shared by the masked and miss-free entry points.
+    """Flat indices + weights of the bilinear corner votes.
 
-    ``uu``/``vv`` must be free of non-finite values (the caller has
-    either substituted or filtered them); ``finite`` additionally
-    restricts which rows may vote, or is ``None`` when every row may.
+    Corners are emitted in the fixed (00, 10, 01, 11) order, so applying
+    the terms with one in-order scatter-add reproduces the sequential
+    per-corner accumulation bit for bit.  Returns ``(indices, weights,
+    n_points)`` where ``n_points`` counts points that cast a full or
+    partial vote.  Non-finite coordinates mark projection misses and
+    produce no terms.
     """
     nz, h, w = shape
-    if uu.shape != vv.shape or (uu.size and uu.shape[1] != nz):
+    if u.shape != v.shape or (u.size and u.shape[1] != nz):
         raise ValueError("coordinate arrays must be (N, Nz) matching the DSI")
+    finite = np.isfinite(u) & np.isfinite(v)
+    uu = np.where(finite, u, -10.0)
+    vv = np.where(finite, v, -10.0)
     u0f = np.floor(uu)
     v0f = np.floor(vv)
     fu = uu - u0f
@@ -132,9 +137,7 @@ def _bilinear_terms_core(
         (u0 + 1, v0 + 1, fu * fv),
     )
     for cu, cv, weight in corners:
-        valid = (cu >= 0) & (cu < w) & (cv >= 0) & (cv < h) & (weight > 0)
-        if finite is not None:
-            valid &= finite
+        valid = (cu >= 0) & (cu < w) & (cv >= 0) & (cv < h) & (weight > 0) & finite
         if not np.any(valid):
             continue
         indices.append((iz[valid] * h + cv[valid]) * w + cu[valid])
@@ -144,40 +147,6 @@ def _bilinear_terms_core(
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=np.float64), 0
     return np.concatenate(indices), np.concatenate(weights), int(voted.sum())
-
-
-def bilinear_vote_terms(
-    u: np.ndarray,
-    v: np.ndarray,
-    shape: tuple[int, int, int],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat indices + weights of the bilinear corner votes.
-
-    Corners are emitted in the fixed (00, 10, 01, 11) order, so applying
-    the terms with one in-order scatter-add reproduces the sequential
-    per-corner accumulation bit for bit.  Returns ``(indices, weights,
-    n_points)`` where ``n_points`` counts points that cast a full or
-    partial vote.  Non-finite coordinates mark projection misses and
-    produce no terms.
-    """
-    finite = np.isfinite(u) & np.isfinite(v)
-    uu = np.where(finite, u, -10.0)
-    vv = np.where(finite, v, -10.0)
-    return _bilinear_terms_core(uu, vv, shape, finite)
-
-
-def bilinear_vote_terms_finite(
-    u: np.ndarray,
-    v: np.ndarray,
-    shape: tuple[int, int, int],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`bilinear_vote_terms` for miss-free coordinate arrays.
-
-    Callers that already dropped the projection-miss rows (so ``u`` and
-    ``v`` contain no NaNs) skip the finiteness masking passes;
-    bit-identical to the general kernel on finite input.
-    """
-    return _bilinear_terms_core(u, v, shape, None)
 
 
 def vote_bilinear_into(

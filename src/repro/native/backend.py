@@ -4,7 +4,7 @@ Same segment-batched dataflow as ``numpy-batch`` — the engine buffers
 ``DataflowPolicy.batch_frames`` event frames and the backend executes
 each batch in fused passes — but the φ parameter stack and the fused
 proportional + vote scatter run in compiled code (see
-:mod:`repro.native.provider` for provider selection and
+:mod:`repro.native.provider` for kernel loading and
 ``docs/NATIVE.md`` for the kernel ABI).
 
 The bit-exactness contract mirrors the other software backends: every
@@ -16,10 +16,9 @@ the matmul in C would re-associate the accumulation (the one declared
 epsilon in the native package, exercised only by the standalone
 ``canonical_batch`` kernel).
 
-Importing this module registers the backend *iff* a kernel provider
-loads; :mod:`repro.core.engine` imports it under ``try/except`` so the
-registry simply omits ``native-batch`` on hosts with neither a C
-toolchain nor numba.
+Importing this module registers the backend *iff* the kernels load;
+:mod:`repro.core.engine` imports it under ``try/except`` so the registry
+simply omits ``native-batch`` on hosts without a C toolchain.
 """
 
 from __future__ import annotations

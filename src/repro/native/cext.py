@@ -64,8 +64,7 @@ def build_shared_library() -> Path:
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError(
-            "no C compiler on PATH (set CC, install gcc/clang, or use the "
-            "numba provider)"
+            "no C compiler on PATH (set CC or install gcc/clang)"
         )
     source = SOURCE.read_text()
     tag = hashlib.sha256(
@@ -112,7 +111,7 @@ def _candidate_libraries() -> list[Path]:
 def load_cext_kernels() -> "CExtensionKernels":
     """Locate (or build) the kernel library and return live bindings.
 
-    Raises when no candidate loads — the provider-selection layer turns
+    Raises when no candidate loads — :mod:`repro.native.provider` turns
     that into an ``unavailable`` status instead of an import error.
     """
     errors: list[str] = []

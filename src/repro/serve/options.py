@@ -19,9 +19,6 @@ three frozen value objects:
   knobs, the cache config and the default :class:`JobOptions`.
   :meth:`ReconstructionService.from_config` constructs a service from
   one of these; the CLI builds it in a single place.
-
-The legacy kwargs keep working through a shim that maps them onto
-:class:`JobOptions` and emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -119,10 +116,10 @@ class CacheConfig:
     """Capacity and placement of the serving layer's cache tiers.
 
     ``job_entries`` bounds the job-level LRU (whole fused results, in
-    entries; ``0`` disables it — the legacy ``cache_size`` knob).  The
-    segment tiers are byte-bounded: ``mem_mb`` for the in-memory LRU
-    (``0`` disables it, the default) and ``disk_mb`` for the on-disk
-    store, which activates only when a directory is resolved — from
+    entries; ``0`` disables it).  The segment tiers are byte-bounded:
+    ``mem_mb`` for the in-memory LRU (``0`` disables it, the default)
+    and ``disk_mb`` for the on-disk store, which activates only when a
+    directory is resolved — from
     ``cache_dir``, or from the ``REPRO_CACHE_DIR`` environment variable
     when ``cache_dir`` is ``None`` (pass ``cache_dir=""`` to suppress
     the environment fallback explicitly).

@@ -74,7 +74,6 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -106,13 +105,11 @@ from repro.serve.cache import (
 )
 from repro.serve.faults import (
     FaultKind,
-    FaultPlan,
     new_hang_gate,
     release_hang_gate,
     run_guarded_segment,
 )
 from repro.serve.options import CacheConfig, JobOptions, ServiceConfig
-from repro.serve.retry import RetryPolicy
 from repro.serve.scheduler import RoundRobinScheduler
 from repro.serve.session import (
     TERMINAL_STATES,
@@ -130,23 +127,6 @@ OVERFLOW_POLICIES = ("refuse", "drop-oldest")
 #: Successful segment completions required to leave serial probation
 #: after a pool break (see ``ReconstructionService._collect_done``).
 PROBATION_SUCCESSES = 3
-
-#: Sentinel distinguishing "kwarg not supplied" from an explicit None in
-#: the deprecated reliability-kwarg shims.
-_UNSET = object()
-
-#: The legacy per-call reliability kwargs the JobOptions redesign
-#: deprecates (constructor spelling -> JobOptions field).
-_DEPRECATED_FIELDS = {
-    "retry": "retry",
-    "deadline_s": "deadline_s",
-    "segment_deadline_s": "segment_deadline_s",
-    "allow_partial": "allow_partial",
-    "faults": "faults",
-    "fault_plan": "faults",
-    "integrity": "integrity",
-}
-
 
 class ServeError(RuntimeError):
     """Base class of service-level failures."""
@@ -254,10 +234,6 @@ class ReconstructionService:
         (threads suit the in-process hardware model and test doubles).
     queue_limit:
         Per-session bound on active (queued + running) jobs.
-    cache_size:
-        Job-level LRU result-cache capacity in entries; ``0`` disables
-        caching.  Shorthand for ``cache=CacheConfig(job_entries=n)``;
-        mutually exclusive with ``cache``.
     retain_jobs:
         How many *terminal* (done/failed/dropped) job records to keep
         for late ``poll``/``result`` calls; the oldest are evicted
@@ -269,12 +245,6 @@ class ReconstructionService:
         dropped to admit the new one; with nothing droppable the
         submission is refused).  Either way the outcome is recorded in
         the aggregate profile.
-    retry, deadline_s, segment_deadline_s, allow_partial, fault_plan, integrity:
-        **Deprecated** spellings of the service-wide default
-        :class:`~repro.serve.options.JobOptions` fields; they keep
-        working through a shim that maps them onto ``options`` (and
-        emits a :class:`DeprecationWarning`).  See
-        :class:`~repro.serve.options.JobOptions` for their semantics.
     clock:
         Monotonic time source for deadlines and backoff scheduling
         (default ``time.perf_counter``); injectable so deadline tests
@@ -288,7 +258,7 @@ class ReconstructionService:
         entries plus the segment tiers — an in-memory LRU in front of a
         persistent on-disk store, so overlapping jobs and warm-started
         streams skip already-computed segments entirely (see
-        ``docs/CACHING.md``).  Mutually exclusive with ``cache_size``.
+        ``docs/CACHING.md``).  Defaults to ``CacheConfig()``.
 
     Examples
     --------
@@ -320,15 +290,8 @@ class ReconstructionService:
         workers: int | None = None,
         executor: str | None = None,
         queue_limit: int = 8,
-        cache_size: int | None = None,
         overflow: str = "refuse",
         retain_jobs: int = 256,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        fault_plan=_UNSET,
-        integrity=_UNSET,
         clock: Callable[[], float] | None = None,
         *,
         options: JobOptions | None = None,
@@ -344,34 +307,19 @@ class ReconstructionService:
             raise ValueError(
                 f"overflow must be one of {OVERFLOW_POLICIES}, got {overflow!r}"
             )
-        if cache is not None and cache_size is not None:
-            raise ValueError(
-                "pass either cache_size (legacy shorthand) or "
-                "cache=CacheConfig(...), not both"
-            )
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.executor = executor or ("inline" if self.workers == 1 else "process")
         self.overflow = overflow
         self.retain_jobs = retain_jobs
         self._clock = clock or time.perf_counter
-        legacy = {
-            "retry": retry,
-            "deadline_s": deadline_s,
-            "segment_deadline_s": segment_deadline_s,
-            "allow_partial": allow_partial,
-            "fault_plan": fault_plan,
-            "integrity": integrity,
-        }
-        ctor = self._shim_legacy_kwargs(legacy)
         hard = JobOptions(
             allow_partial=False, integrity=False, min_observations=1, cache="on"
         )
         #: The service-wide default :class:`JobOptions`; per-job options
         #: merge over these (``JobOptions.merged``).
-        self.defaults = ctor.merged(options or JobOptions()).merged(hard)
+        self.defaults = (options or JobOptions()).merged(hard)
         self._check_options(self.defaults)
-        if cache is None:
-            cache = CacheConfig(job_entries=32 if cache_size is None else cache_size)
+        cache = cache or CacheConfig()
         #: The :class:`CacheConfig` the cache tiers were built from.
         self.cache_config = cache
         self.cache = ResultCache(cache.job_entries)
@@ -427,39 +375,6 @@ class ReconstructionService:
         )
 
     # ------------------------------------------------------------------
-    # Legacy reliability-kwarg views (deprecated spellings)
-    # ------------------------------------------------------------------
-    @property
-    def retry(self) -> RetryPolicy | None:
-        """Service-wide default retry policy (``defaults.retry``)."""
-        return self.defaults.retry
-
-    @property
-    def deadline_s(self) -> float | None:
-        """Service-wide default job deadline (``defaults.deadline_s``)."""
-        return self.defaults.deadline_s
-
-    @property
-    def segment_deadline_s(self) -> float | None:
-        """Default per-attempt budget (``defaults.segment_deadline_s``)."""
-        return self.defaults.segment_deadline_s
-
-    @property
-    def allow_partial(self) -> bool:
-        """Default graceful-degradation switch (``defaults.allow_partial``)."""
-        return bool(self.defaults.allow_partial)
-
-    @property
-    def fault_plan(self) -> FaultPlan | None:
-        """Service-wide default fault schedule (``defaults.faults``)."""
-        return self.defaults.faults
-
-    @property
-    def integrity(self) -> bool:
-        """Default merge-time integrity checking (``defaults.integrity``)."""
-        return bool(self.defaults.integrity)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def __enter__(self) -> "ReconstructionService":
@@ -467,27 +382,6 @@ class ReconstructionService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @staticmethod
-    def _shim_legacy_kwargs(legacy: dict) -> JobOptions:
-        """Map supplied deprecated kwargs onto a :class:`JobOptions`.
-
-        ``legacy`` holds the deprecated kwargs by their old names with
-        ``_UNSET`` marking "not supplied"; anything supplied emits one
-        :class:`DeprecationWarning` naming the offenders.  Construction
-        validates the values (same messages as the legacy checks).
-        """
-        supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-        if supplied:
-            warnings.warn(
-                f"the {sorted(supplied)} kwargs are deprecated; pass "
-                "options=JobOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return JobOptions(
-            **{_DEPRECATED_FIELDS[k]: v for k, v in supplied.items()}
-        )
 
     def _check_options(self, options: JobOptions) -> None:
         """Validate a resolved options set against this service's executor.
@@ -619,30 +513,19 @@ class ReconstructionService:
     def _resolve_job_options(
         self,
         options: JobOptions | None,
-        legacy: dict,
         *,
         voxel_size: float | None = None,
         min_observations: int | None = None,
     ) -> JobOptions:
         """Resolve one call's effective :class:`JobOptions`.
 
-        The single merge rule of the options redesign: deprecated
-        per-call kwargs (shimmed onto :class:`JobOptions`, with a
-        :class:`DeprecationWarning`) layer over ``options``, which
-        layers over the service defaults —
-        ``legacy.merged(options).merged(self.defaults)``.  The
-        first-class fuse kwargs (``voxel_size``/``min_observations``)
-        join the strongest layer.
+        The single merge rule: the first-class fuse kwargs
+        (``voxel_size``/``min_observations``) layer over ``options``,
+        which layers over the service defaults —
+        ``fuse.merged(options).merged(self.defaults)``.
         """
-        per_call = self._shim_legacy_kwargs(legacy)
-        fuse = {}
-        if voxel_size is not None:
-            fuse["voxel_size"] = voxel_size
-        if min_observations is not None:
-            fuse["min_observations"] = min_observations
-        if fuse:
-            per_call = replace(per_call, **fuse)
-        resolved = per_call.merged(options or JobOptions()).merged(self.defaults)
+        fuse = JobOptions(voxel_size=voxel_size, min_observations=min_observations)
+        resolved = fuse.merged(options or JobOptions()).merged(self.defaults)
         self._check_options(resolved)
         return resolved
 
@@ -666,12 +549,6 @@ class ReconstructionService:
         session: str = "default",
         voxel_size: float | None = None,
         min_observations: int | None = None,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        faults=_UNSET,
-        integrity=_UNSET,
         options: JobOptions | None = None,
     ) -> str:
         """Admit one reconstruction job; returns its job id.
@@ -683,9 +560,7 @@ class ReconstructionService:
 
         ``options`` overrides the service-wide default
         :class:`~repro.serve.options.JobOptions` for this job (``None``
-        fields inherit); the loose reliability kwargs are deprecated
-        spellings of the same fields and emit a
-        :class:`DeprecationWarning`.  The job's deadline clock starts
+        fields inherit).  The job's deadline clock starts
         now (at admission).  When the segment cache holds outcomes for
         some (or all) of the job's segments, those segments complete at
         admission without ever touching the pool.
@@ -696,17 +571,7 @@ class ReconstructionService:
         if not isinstance(spec, EngineSpec):
             raise TypeError("submit() takes an EngineSpec (see EngineSpec.build)")
         resolved = self._resolve_job_options(
-            options,
-            {
-                "retry": retry,
-                "deadline_s": deadline_s,
-                "segment_deadline_s": segment_deadline_s,
-                "allow_partial": allow_partial,
-                "faults": faults,
-                "integrity": integrity,
-            },
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options, voxel_size=voxel_size, min_observations=min_observations
         )
         voxel_size = resolved.voxel_size
         if voxel_size is None:
@@ -883,12 +748,6 @@ class ReconstructionService:
         voxel_size: float | None = None,
         min_observations: int | None = None,
         max_pending_chunks: int = 64,
-        retry=_UNSET,
-        deadline_s=_UNSET,
-        segment_deadline_s=_UNSET,
-        allow_partial=_UNSET,
-        faults=_UNSET,
-        integrity=_UNSET,
         options: JobOptions | None = None,
     ) -> StreamingSession:
         """Admit a streaming job; returns its :class:`StreamingSession` handle.
@@ -904,11 +763,10 @@ class ReconstructionService:
         *segment* tier: a freshly cut segment whose outcome is already
         cached emits its updates immediately, without a dispatch.
 
-        ``options`` / the deprecated reliability kwargs resolve exactly
-        as in :meth:`submit`, with one difference: a stream's
-        ``deadline_s`` arms at ``close()`` — an open stream can always
-        grow, so there is no meaningful total budget until the input
-        ends.
+        ``options`` resolves exactly as in :meth:`submit`, with one
+        difference: a stream's ``deadline_s`` arms at ``close()`` — an
+        open stream can always grow, so there is no meaningful total
+        budget until the input ends.
         """
         if self._closed:
             raise ServeError("service is closed")
@@ -918,17 +776,7 @@ class ReconstructionService:
         if max_pending_chunks < 1:
             raise ValueError("max_pending_chunks must be >= 1")
         resolved = self._resolve_job_options(
-            options,
-            {
-                "retry": retry,
-                "deadline_s": deadline_s,
-                "segment_deadline_s": segment_deadline_s,
-                "allow_partial": allow_partial,
-                "faults": faults,
-                "integrity": integrity,
-            },
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options, voxel_size=voxel_size, min_observations=min_observations
         )
         voxel_size = resolved.voxel_size
         if voxel_size is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -83,8 +82,9 @@ class Job:
     voxel_size: float
     min_observations: int
     cache_key: str | None
+    #: Admission instant on the owning service's clock.
+    submitted_at: float
     state: JobState = JobState.QUEUED
-    submitted_at: float = field(default_factory=time.perf_counter)
     finished_at: float | None = None
     cache_hit: bool = False
     error: str | None = None
@@ -208,7 +208,7 @@ class Job:
             return None
         return self.finished_at - self.submitted_at
 
-    def finish(self, state: JobState, at: float | None = None) -> None:
+    def finish(self, state: JobState, at: float) -> None:
         """Move to a terminal state and release the input event buffers.
 
         The raw stream is only needed to slice segments at dispatch
@@ -222,13 +222,13 @@ class Job:
         (a stream whose segments all failed would otherwise wait on
         updates that can never arrive).
 
-        ``at`` is the terminal instant on the owning service's clock;
-        the service always passes its injected ``clock`` reading so
-        ``latency_seconds`` is measured on the same (fake-able)
-        timeline as deadlines and backoff — never on the host clock.
+        ``at`` is the terminal instant on the owning service's clock
+        (its injected ``clock`` reading), so ``latency_seconds`` is
+        measured on the same (fake-able) timeline as deadlines and
+        backoff — never on the host clock.
         """
         self.state = state
-        self.finished_at = time.perf_counter() if at is None else at
+        self.finished_at = at
         self.events = None
         self.retry_backlog.clear()
         if self.stream is not None:

@@ -241,7 +241,7 @@ class TestConfigurationPlumbing:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         events, spec = workload
-        # legacy constructor spelling — no CacheConfig anywhere in sight
+        # default constructor — no CacheConfig anywhere in sight
         with ReconstructionService(workers=1, executor="inline") as service:
             assert service.segment_cache.cache_dir == str(tmp_path)
             cold = service.result(service.submit(events, spec))

@@ -28,9 +28,11 @@ from repro.core.mapping import (
     run_segment_task,
 )
 from repro.serve import (
+    CacheConfig,
     FaultKind,
     FaultPlan,
     JobFailed,
+    JobOptions,
     JobState,
     ReconstructionService,
     RetryPolicy,
@@ -95,10 +97,12 @@ class TestRetryHealsTransients:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, seed=11, max_failures=1)
         with ReconstructionService(
-            workers=2, executor="thread", cache_size=0
+            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
-                events, spec, faults=plan, retry=RetryPolicy(max_attempts=3)
+                events,
+                spec,
+                options=JobOptions(faults=plan, retry=RetryPolicy(max_attempts=3)),
             )
             result = service.result(job, timeout=300.0)
             assert_results_bit_identical(result, direct)
@@ -119,13 +123,14 @@ class TestRetryHealsTransients:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.05),
+                options=JobOptions(
+                    faults=plan, retry=RetryPolicy(max_attempts=2, backoff_s=0.05)
+                ),
             )
             assert service.drain(timeout=120.0) == 1
             assert_results_bit_identical(service.result(job), direct)
@@ -137,10 +142,12 @@ class TestPersistentFaultsSurface:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(1,))
         with ReconstructionService(
-            workers=2, executor="thread", cache_size=0
+            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
-                events, spec, faults=plan, retry=RetryPolicy(max_attempts=2)
+                events,
+                spec,
+                options=JobOptions(faults=plan, retry=RetryPolicy(max_attempts=2)),
             )
             with pytest.raises(JobFailed, match="injected persistent fault"):
                 service.result(job, timeout=300.0)
@@ -160,9 +167,9 @@ class TestPersistentFaultsSurface:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
-            job = service.submit(events, spec, faults=plan)
+            job = service.submit(events, spec, options=JobOptions(faults=plan))
             service.drain(timeout=120.0)
             status = service.poll(job)
             assert status.state is JobState.FAILED
@@ -181,10 +188,10 @@ class TestGracefulDegradation:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(1,))
         with ReconstructionService(
-            workers=2, executor="thread", cache_size=32
+            workers=2, executor="thread", cache=CacheConfig(job_entries=32)
         ) as service:
             job = service.submit(
-                events, spec, faults=plan, allow_partial=True
+                events, spec, options=JobOptions(faults=plan, allow_partial=True)
             )
             result = service.result(job, timeout=300.0)
             status = service.poll(job)
@@ -230,17 +237,22 @@ class TestGracefulDegradation:
         clock = FakeClock()
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0, clock=clock
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(job_entries=0),
+            clock=clock,
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                deadline_s=10.0,
-                allow_partial=True,
-                # Backoff far beyond the deadline: the segment sits in
-                # the retry backlog when the deadline fires.
-                retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                options=JobOptions(
+                    faults=plan,
+                    deadline_s=10.0,
+                    allow_partial=True,
+                    # Backoff far beyond the deadline: the segment sits in
+                    # the retry backlog when the deadline fires.
+                    retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                ),
             )
             status = service.poll(job)  # pumps: everything else lands
             assert status.state is JobState.RUNNING
@@ -261,14 +273,19 @@ class TestGracefulDegradation:
         clock = FakeClock()
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0, clock=clock
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(job_entries=0),
+            clock=clock,
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                deadline_s=5.0,
-                retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                options=JobOptions(
+                    faults=plan,
+                    deadline_s=5.0,
+                    retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                ),
             )
             service.poll(job)
             clock.advance(6.0)
@@ -288,16 +305,18 @@ class TestSegmentDeadlines:
             FaultKind.SLOW, targets=(0,), max_failures=1, delay_s=4.0
         )
         with ReconstructionService(
-            workers=2, executor="thread", cache_size=0
+            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                # Generous for a clean ~0.2 s segment, far below the
-                # injected 4 s stall — no flakiness either way.
-                segment_deadline_s=1.5,
-                retry=RetryPolicy(max_attempts=2),
+                options=JobOptions(
+                    faults=plan,
+                    # Generous for a clean ~0.2 s segment, far below the
+                    # injected 4 s stall — no flakiness either way.
+                    segment_deadline_s=1.5,
+                    retry=RetryPolicy(max_attempts=2),
+                ),
             )
             result = service.result(job, timeout=300.0)
             assert_results_bit_identical(result, direct)
@@ -314,10 +333,12 @@ class TestCrashRecovery:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CRASH, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="process", cache_size=0
+            workers=1, executor="process", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
-                events, spec, faults=plan, retry=RetryPolicy(max_attempts=2)
+                events,
+                spec,
+                options=JobOptions(faults=plan, retry=RetryPolicy(max_attempts=2)),
             )
             result = service.result(job, timeout=300.0)
             assert_results_bit_identical(result, direct)
@@ -328,9 +349,9 @@ class TestCrashRecovery:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CRASH, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="process", cache_size=0
+            workers=1, executor="process", cache=CacheConfig(job_entries=0)
         ) as service:
-            job = service.submit(events, spec, faults=plan)
+            job = service.submit(events, spec, options=JobOptions(faults=plan))
             service.drain(timeout=300.0)
             status = service.poll(job)
             assert status.state is JobState.FAILED
@@ -342,14 +363,14 @@ class TestIntegrity:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CORRUPT, targets=(1,), max_failures=1)
         with ReconstructionService(
-            workers=2, executor="thread", cache_size=0
+            workers=2, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                integrity=True,
-                retry=RetryPolicy(max_attempts=2),
+                options=JobOptions(
+                    faults=plan, integrity=True, retry=RetryPolicy(max_attempts=2)
+                ),
             )
             result = service.result(job, timeout=300.0)
             assert_results_bit_identical(result, direct)
@@ -365,9 +386,9 @@ class TestIntegrity:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.CORRUPT, targets=(1,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
-            job = service.submit(events, spec, faults=plan)
+            job = service.submit(events, spec, options=JobOptions(faults=plan))
             result = service.result(job, timeout=300.0)
             assert service.poll(job).state is JobState.DONE
             assert service.stats().results_corrupted == 0
@@ -384,14 +405,14 @@ class TestIntegrity:
             FaultKind.CORRUPT, targets=(0,), max_failures=10
         )
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                integrity=True,
-                retry=RetryPolicy(max_attempts=2),
+                options=JobOptions(
+                    faults=plan, integrity=True, retry=RetryPolicy(max_attempts=2)
+                ),
             )
             with pytest.raises(JobFailed, match="integrity"):
                 service.result(job, timeout=300.0)
@@ -406,9 +427,9 @@ class TestStreamReliability:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT)
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
-            stream = service.open_stream(spec, faults=plan)
+            stream = service.open_stream(spec, options=JobOptions(faults=plan))
             stream.feed(events)
             service.drain(timeout=120.0)
             status = stream.status()
@@ -426,15 +447,15 @@ class TestStreamReliability:
         _, events, _, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             batch = service.submit(
-                events, spec, faults=plan, allow_partial=True
+                events, spec, options=JobOptions(faults=plan, allow_partial=True)
             )
             batch_result = service.result(batch, timeout=300.0)
 
             stream = service.open_stream(
-                spec, faults=plan, allow_partial=True
+                spec, options=JobOptions(faults=plan, allow_partial=True)
             )
             stream.feed(events)
             stream.close()
@@ -457,16 +478,18 @@ class TestReliabilityValidation:
         _, events, _, spec = served
         with ReconstructionService(workers=1, executor="inline") as service:
             with pytest.raises(ValueError, match="deadline_s"):
-                service.submit(events, spec, deadline_s=-1.0)
+                service.submit(events, spec, options=JobOptions(deadline_s=-1.0))
             with pytest.raises(ValueError, match="segment_deadline_s"):
-                service.submit(events, spec, segment_deadline_s=0.0)
+                service.submit(
+                    events, spec, options=JobOptions(segment_deadline_s=0.0)
+                )
             with pytest.raises(TypeError, match="RetryPolicy"):
-                service.submit(events, spec, retry=3)
+                service.submit(events, spec, options=JobOptions(retry=3))
             with pytest.raises(TypeError, match="FaultPlan"):
-                service.submit(events, spec, faults="transient")
+                service.submit(events, spec, options=JobOptions(faults="transient"))
             with pytest.raises(ValueError, match="inline"):
                 service.submit(
-                    events, spec, faults=FaultPlan(FaultKind.HANG)
+                    events, spec, options=JobOptions(faults=FaultPlan(FaultKind.HANG))
                 )
 
     def test_constructor_defaults_flow_to_jobs(self, served):
@@ -475,10 +498,9 @@ class TestReliabilityValidation:
         with ReconstructionService(
             workers=1,
             executor="inline",
-            cache_size=0,  # also disables coalescing: each job is a full record
-            retry=retry,
-            deadline_s=60.0,
-            allow_partial=True,
+            # also disables coalescing: each job is a full record
+            cache=CacheConfig(job_entries=0),
+            options=JobOptions(retry=retry, deadline_s=60.0, allow_partial=True),
         ) as service:
             job_id = service.submit(events, spec)
             job = service.jobs[job_id]
@@ -488,7 +510,7 @@ class TestReliabilityValidation:
             assert job.allow_partial
             # Per-job overrides win over the service defaults.
             other_id = service.submit(
-                events, spec, allow_partial=False, deadline_s=5.0
+                events, spec, options=JobOptions(allow_partial=False, deadline_s=5.0)
             )
             other = service.jobs[other_id]
             assert not other.allow_partial

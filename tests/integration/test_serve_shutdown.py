@@ -24,9 +24,11 @@ import pytest
 
 from repro.core import EngineSpec
 from repro.serve import (
+    CacheConfig,
     FaultKind,
     FaultPlan,
     JobFailed,
+    JobOptions,
     JobState,
     ReconstructionService,
     RetryPolicy,
@@ -70,14 +72,19 @@ class TestClockSeam:
         clock = FakeClock()
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0, clock=clock
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(job_entries=0),
+            clock=clock,
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                retry=RetryPolicy(max_attempts=3, backoff_s=5.0),
-                deadline_s=60.0,
+                options=JobOptions(
+                    faults=plan,
+                    retry=RetryPolicy(max_attempts=3, backoff_s=5.0),
+                    deadline_s=60.0,
+                ),
             )
             status = service.poll(job)  # attempt 0 fails -> backed off
             assert not status.done
@@ -104,14 +111,19 @@ class TestClockSeam:
         clock = FakeClock()
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0, clock=clock
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(job_entries=0),
+            clock=clock,
         ) as service:
             job = service.submit(
                 events,
                 spec,
-                faults=plan,
-                retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
-                deadline_s=10.0,
+                options=JobOptions(
+                    faults=plan,
+                    retry=RetryPolicy(max_attempts=50, backoff_s=100.0),
+                    deadline_s=10.0,
+                ),
             )
             assert not service.poll(job).done
             clock.advance(11.0)
@@ -124,7 +136,10 @@ class TestClockSeam:
         events, spec = served
         clock = FakeClock()
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0, clock=clock
+            workers=1,
+            executor="inline",
+            cache=CacheConfig(job_entries=0),
+            clock=clock,
         ) as service:
             job = service.submit(events, spec)
             clock.advance(2.5)
@@ -144,13 +159,15 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
         job = service.submit(
             events,
             spec,
-            faults=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_s=120.0),
+            options=JobOptions(
+                faults=plan,
+                retry=RetryPolicy(max_attempts=3, backoff_s=120.0),
+            ),
         )
         status = service.poll(job)  # fails once, backs off two minutes
         assert not status.done
@@ -170,7 +187,7 @@ class TestShutdownOrdering:
         """
         events, spec = served
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
         stream = service.open_stream(spec, session="live")
         third = events.t_start + events.duration / 3
@@ -190,13 +207,15 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
         job = service.submit(
             events,
             spec,
-            faults=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_s=300.0),
+            options=JobOptions(
+                faults=plan,
+                retry=RetryPolicy(max_attempts=3, backoff_s=300.0),
+            ),
         )
         stream = service.open_stream(spec, session="live")
         assert not service.poll(job).done
@@ -218,13 +237,15 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.PERSISTENT, targets=(0,))
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
         job = service.submit(
             events,
             spec,
-            faults=plan,
-            retry=RetryPolicy(max_attempts=50, backoff_s=30.0),
+            options=JobOptions(
+                faults=plan,
+                retry=RetryPolicy(max_attempts=50, backoff_s=30.0),
+            ),
         )
         assert not service.poll(job).done
         t0 = time.perf_counter()
@@ -244,13 +265,15 @@ class TestShutdownOrdering:
         events, spec = served
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
         job = service.submit(
             events,
             spec,
-            faults=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_s=60.0),
+            options=JobOptions(
+                faults=plan,
+                retry=RetryPolicy(max_attempts=3, backoff_s=60.0),
+            ),
         )
         assert not service.poll(job).done
         with pytest.raises(TimeoutError):
@@ -268,15 +291,15 @@ class TestShutdownOrdering:
         plan = FaultPlan(FaultKind.TRANSIENT, targets=(0,), max_failures=1)
         retry = RetryPolicy(max_attempts=3, backoff_s=90.0)
         with ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         ) as baseline_service:
             baseline = baseline_service.result(
                 baseline_service.submit(events, spec), timeout=300.0
             )
         service = ReconstructionService(
-            workers=1, executor="inline", cache_size=0
+            workers=1, executor="inline", cache=CacheConfig(job_entries=0)
         )
-        job = service.submit(events, spec, faults=plan, retry=retry)
+        job = service.submit(events, spec, options=JobOptions(faults=plan, retry=retry))
         service.poll(job)
         service.shutdown(wait=True)
         flushed = service.result(job)

@@ -15,6 +15,7 @@ import pytest
 from repro.core import EngineSpec, fuse_keyframes
 from repro.core.engine import BACKENDS, ExecutionBackend, register_backend
 from repro.serve import (
+    CacheConfig,
     JobFailed,
     JobState,
     ReconstructionService,
@@ -43,7 +44,7 @@ def streamed(mapping_workload):
 def batch_result(streamed):
     """One-shot submission ground truth for the shared workload."""
     events, spec = streamed
-    with ReconstructionService(workers=1, cache_size=0) as service:
+    with ReconstructionService(workers=1, cache=CacheConfig(job_entries=0)) as service:
         return service.result(service.submit(events, spec))
 
 
@@ -72,7 +73,7 @@ class TestStreamEqualsBatch:
     ):
         events, spec = streamed
         with ReconstructionService(
-            workers=workers, executor=executor, cache_size=0
+            workers=workers, executor=executor, cache=CacheConfig(job_entries=0)
         ) as service:
             stream = service.open_stream(spec)
             updates = feed_in_chunks(stream, events, chunk_events)
@@ -115,7 +116,7 @@ class TestStreamEqualsBatch:
         """Stream and batch segments round-robin in the dispatch log."""
         events, spec = streamed
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             stream = service.open_stream(spec, session="live")
             feed_in_chunks(stream, events, 10**9)
@@ -212,7 +213,7 @@ class TestStreamBackpressure:
         """Chunk-granular refusal: the feed raises, the profile records it."""
         events, spec = streamed
         with ReconstructionService(
-            workers=1, executor="thread", queue_limit=1, cache_size=0
+            workers=1, executor="thread", queue_limit=1, cache=CacheConfig(job_entries=0)
         ) as service:
             stream = service.open_stream(spec, max_pending_chunks=1)
             with pytest.raises(StreamBacklogFull, match="pending chunks"):
@@ -230,7 +231,7 @@ class TestStreamBackpressure:
             workers=1,
             executor="thread",
             queue_limit=1,
-            cache_size=0,
+            cache=CacheConfig(job_entries=0),
             overflow="drop-oldest",
         ) as service:
             stream = service.open_stream(spec, max_pending_chunks=1)
@@ -248,7 +249,7 @@ class TestStreamBackpressure:
     def test_generous_buffer_drops_nothing(self, streamed, batch_result):
         events, spec = streamed
         with ReconstructionService(
-            workers=1, executor="thread", cache_size=0
+            workers=1, executor="thread", cache=CacheConfig(job_entries=0)
         ) as service:
             with service.open_stream(spec, max_pending_chunks=10**6) as stream:
                 feed_in_chunks(stream, events, 256)

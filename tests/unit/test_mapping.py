@@ -203,7 +203,7 @@ class TestOrchestratorValidation:
         from repro.core import EngineSpec, REFORMULATED_POLICY
 
         orch = MappingOrchestrator(
-            davis_camera, simple_trajectory, backend="numpy-fast"
+            davis_camera, simple_trajectory, backend="numpy-batch"
         )
         assert isinstance(orch.spec, EngineSpec)
         assert orch.camera is orch.spec.camera is davis_camera
@@ -211,7 +211,7 @@ class TestOrchestratorValidation:
         assert orch.config is orch.spec.config
         assert orch.depth_range == orch.spec.depth_range
         assert orch.policy is REFORMULATED_POLICY
-        assert orch.backend == "numpy-fast"
+        assert orch.backend == "numpy-batch"
 
 
 class TestSegmentHelpers:

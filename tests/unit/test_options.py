@@ -1,13 +1,11 @@
 """The consolidated JobOptions / CacheConfig / ServiceConfig surface.
 
 Covers the three value objects' validation, the single ``merged`` rule,
-the deprecated-kwarg shims on ``ReconstructionService`` (legacy
-spellings must keep working, warn, and resolve identically to the
-``options=`` spelling), and ``from_config`` equivalence.
+that they are the only spelling of these options on
+``ReconstructionService``, and ``from_config`` equivalence.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -114,89 +112,6 @@ class TestCacheConfig:
         assert CacheConfig(disk_mb=0.0).resolved_dir() is None
 
 
-class TestServiceShims:
-    def test_legacy_constructor_kwargs_warn_and_apply(self):
-        retry = RetryPolicy(max_attempts=3)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            service = ReconstructionService(
-                workers=1, retry=retry, deadline_s=9.0, allow_partial=True
-            )
-        assert service.defaults.retry is retry
-        assert service.deadline_s == 9.0  # legacy read-only view
-        assert service.allow_partial is True
-        service.close()
-
-    def test_options_spelling_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service = ReconstructionService(
-                workers=1,
-                options=JobOptions(deadline_s=9.0, allow_partial=True),
-            )
-        assert service.deadline_s == 9.0 and service.allow_partial is True
-        service.close()
-
-    def test_legacy_and_options_spellings_resolve_identically(self):
-        retry = RetryPolicy(max_attempts=2, backoff_s=0.01)
-        with pytest.warns(DeprecationWarning):
-            legacy = ReconstructionService(
-                workers=1,
-                retry=retry,
-                deadline_s=5.0,
-                segment_deadline_s=1.0,
-                allow_partial=True,
-                integrity=True,
-            )
-        modern = ReconstructionService(
-            workers=1,
-            options=JobOptions(
-                retry=retry,
-                deadline_s=5.0,
-                segment_deadline_s=1.0,
-                allow_partial=True,
-                integrity=True,
-            ),
-        )
-        assert legacy.defaults == modern.defaults
-        legacy.close()
-        modern.close()
-
-    def test_legacy_kwargs_beat_options(self):
-        with pytest.warns(DeprecationWarning):
-            service = ReconstructionService(
-                workers=1, deadline_s=1.0, options=JobOptions(deadline_s=9.0)
-            )
-        assert service.deadline_s == 1.0
-        service.close()
-
-    def test_cache_size_and_cache_config_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            ReconstructionService(workers=1, cache_size=4, cache=CacheConfig())
-
-    def test_cache_size_maps_to_job_entries(self):
-        service = ReconstructionService(workers=1, cache_size=7)
-        assert service.cache_config.job_entries == 7
-        assert service.cache.capacity == 7
-        service.close()
-
-    def test_legacy_validation_messages_survive(self):
-        with pytest.raises(TypeError, match="retry must be a RetryPolicy"):
-            with pytest.warns(DeprecationWarning):
-                ReconstructionService(workers=1, retry=3)
-        with pytest.raises(ValueError, match="deadline_s must be positive"):
-            with pytest.warns(DeprecationWarning):
-                ReconstructionService(workers=1, deadline_s=-1.0)
-        with pytest.raises(ValueError, match="cache capacity must be >= 0"):
-            ReconstructionService(workers=1, cache_size=-1)
-
-    def test_hang_faults_rejected_on_inline_executor(self):
-        plan = FaultPlan(FaultKind.HANG, seed=0, rate=1.0)
-        with pytest.raises(ValueError, match="inline"):
-            ReconstructionService(
-                workers=1, executor="inline", options=JobOptions(faults=plan)
-            )
-
-
 class TestServiceConfig:
     def test_from_config_equivalent_to_kwargs(self):
         config = ServiceConfig(
@@ -225,6 +140,20 @@ class TestServiceConfig:
         assert built.executor == spelled.executor
         built.close()
         spelled.close()
+
+    def test_hang_faults_rejected_on_inline_executor(self):
+        plan = FaultPlan(FaultKind.HANG, seed=0, rate=1.0)
+        with pytest.raises(ValueError, match="inline"):
+            ReconstructionService(
+                workers=1, executor="inline", options=JobOptions(faults=plan)
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"deadline_s": 9.0}, {"retry": RetryPolicy()}, {"cache_size": 4}]
+    )
+    def test_options_objects_are_the_only_spelling(self, kwargs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReconstructionService(workers=1, **kwargs)
 
     def test_config_defaults_are_value_objects(self):
         config = ServiceConfig()

@@ -144,6 +144,7 @@ def _serve_job(session: Session, spec, events, n_segments: int = 2) -> Job:
         voxel_size=0.01,
         min_observations=1,
         cache_key=None,
+        submitted_at=0.0,
     )
     session.add(job)
     return job

@@ -12,6 +12,7 @@ from repro.core import EMVSConfig, EngineSpec
 from repro.core.engine import SegmentPlan
 from repro.serve import (
     OVERFLOW_POLICIES,
+    CacheConfig,
     JobState,
     ReconstructionService,
     ResultCache,
@@ -127,6 +128,7 @@ def make_job(session: str, n_segments: int, spec, events) -> Job:
         voxel_size=0.01,
         min_observations=1,
         cache_key=None,
+        submitted_at=0.0,
     )
 
 
@@ -158,7 +160,7 @@ class TestSession:
     def test_backlog_counts_active_jobs_only(self, spec, events):
         session = Session("s", 2)
         done = make_job("s", 1, spec, events)
-        done.finish(JobState.DONE)
+        done.finish(JobState.DONE, at=1.0)
         session.add(done)
         session.add(make_job("s", 1, spec, events))
         assert not session.backlogged
@@ -201,7 +203,7 @@ class TestSession:
     def test_terminal_jobs_release_their_events(self, spec, events):
         job = make_job("s", 2, spec, events)
         assert job.events is not None
-        job.finish(JobState.DONE)
+        job.finish(JobState.DONE, at=1.0)
         assert job.events is None
 
 
@@ -282,7 +284,7 @@ class TestServiceValidation:
 
     def test_rejects_bad_cache_size(self):
         with pytest.raises(ValueError, match="capacity"):
-            ReconstructionService(cache_size=-1)
+            ReconstructionService(cache=CacheConfig(job_entries=-1))
 
     def test_submit_requires_spec(self, events):
         with ReconstructionService(workers=1) as service:
@@ -381,12 +383,12 @@ class TestEngineSpec:
             simple_trajectory,
             EMVSConfig(n_depth_planes=24),
             depth_range=(0.5, 2.0),
-            backend="numpy-fast",
+            backend="numpy-batch",
         )
         engine = spec.build()
         assert engine.camera is davis_camera
         assert engine.config.n_depth_planes == 24
-        assert engine.backend.name == "numpy-fast"
+        assert engine.backend.name == "numpy-batch"
 
     def test_specs_compare_equal_by_value(self, davis_camera, simple_trajectory):
         a = EngineSpec(davis_camera, simple_trajectory, EMVSConfig())

@@ -130,7 +130,7 @@ class TestDispatch:
 
 
 class TestVoteTermHelpers:
-    """The index/term kernels behind the numpy-fast backend."""
+    """The index/term kernels behind the reference voting entry points."""
 
     def test_nearest_indices_match_into_kernel(self, rng):
         from repro.core.voting import nearest_vote_indices
@@ -157,20 +157,6 @@ class TestVoteTermHelpers:
         rebuilt = np.zeros_like(flat)
         np.add.at(rebuilt, lin, w)
         np.testing.assert_array_equal(rebuilt, flat)
-
-    def test_finite_bilinear_matches_general_on_finite_input(self, rng):
-        from repro.core.voting import (
-            bilinear_vote_terms,
-            bilinear_vote_terms_finite,
-        )
-
-        u = rng.uniform(-1, 11, size=(20, 3))
-        v = rng.uniform(-1, 9, size=(20, 3))
-        lin_a, w_a, n_a = bilinear_vote_terms(u.copy(), v.copy(), SHAPE)
-        lin_b, w_b, n_b = bilinear_vote_terms_finite(u, v, SHAPE)
-        np.testing.assert_array_equal(lin_a, lin_b)
-        np.testing.assert_array_equal(w_a, w_b)
-        assert n_a == n_b
 
     def test_empty_terms(self):
         from repro.core.voting import bilinear_vote_terms, nearest_vote_indices
