@@ -15,12 +15,13 @@ stable across hosts.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import update_bench_json, write_result
+from benchmarks.conftest import BENCH_QUALITY, update_bench_json, write_result
 from repro.core.voting import (
     BatchedNearestVoter,
     vote_bilinear_into,
@@ -248,7 +249,12 @@ def test_native_kernel_baselines(benchmark, workload):
     table.add_note(f"provider: {kernels.name} ({kernels.origin})")
     write_result("hotpath_native_kernels", table.render())
     update_bench_json(
-        "BENCH_backends.json", {"kernels": {"provider": kernels.name, **report}}
+        "BENCH_backends.json",
+        {
+            "quality": BENCH_QUALITY,
+            "cpu_count": os.cpu_count(),
+            "kernels": {"provider": kernels.name, **report},
+        },
     )
 
     # The voting kernels carry the hot stage; both must beat their numpy

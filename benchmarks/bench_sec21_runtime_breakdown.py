@@ -12,12 +12,14 @@ cross-checks them against host-measured stage timings of the actual
 software pipeline.
 """
 
+import os
 import time
 
 import pytest
 
 from benchmarks.conftest import (
     ACCURACY_CONFIG,
+    BENCH_QUALITY,
     eval_events,
     update_bench_json,
     write_result,
@@ -248,6 +250,8 @@ def test_sec21_backend_speedup(benchmark, sequences):
         "BENCH_backends.json",
         {
             "workload": "simulation_3planes",
+            "quality": BENCH_QUALITY,
+            "cpu_count": os.cpu_count(),
             "n_events": ref.profile.n_events,
             "backends": report,
         },

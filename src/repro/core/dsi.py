@@ -151,16 +151,33 @@ class DSI:
         return confidence, self.depths[mid]
 
     def argmax_projection(self) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`max_projection` but returning plane *indices*."""
-        scores = self.effective_scores()
-        first = np.argmax(scores, axis=0)
-        last = scores.shape[0] - 1 - np.argmax(scores[::-1], axis=0)
-        confidence = np.take_along_axis(scores, first[None], axis=0)[0]
+        """Like :meth:`max_projection` but returning plane *indices*.
+
+        One sweep over the planes: a running maximum ``best`` with the
+        first (``>``) and last (``>=``) plane reaching it, each plane
+        clamped to ``score_limit`` into one reused buffer.  Equal bit for
+        bit to argmax-first/argmax-last over :meth:`effective_scores`
+        (scores are finite, so no NaN ordering arises).
+        """
+        scores, limit = self.scores, self.score_limit
+        best = scores[0].copy() if limit is None else np.minimum(scores[0], limit)
+        clamped = None if limit is None else np.empty_like(best)
+        first = np.zeros(best.shape, dtype=np.intp)
+        last = np.zeros(best.shape, dtype=np.intp)
+        mask = np.empty(best.shape, dtype=bool)
+        for z in range(1, scores.shape[0]):
+            plane = scores[z]
+            if clamped is not None:
+                plane = np.minimum(plane, limit, out=clamped)
+            np.greater(plane, best, out=mask)
+            np.copyto(first, z, where=mask)
+            np.greater_equal(plane, best, out=mask)
+            np.copyto(last, z, where=mask)
+            np.maximum(best, plane, out=best)
         # Centre of the maximal run.  When the run is not contiguous this
         # still lands inside the tied span, which is all the detection
         # stage needs.
-        mid = (first + last) // 2
-        return confidence.astype(float), mid
+        return best.astype(float), (first + last) // 2
 
     def slice_image(self, i: int) -> np.ndarray:
         """Score image of depth plane ``i`` (view)."""

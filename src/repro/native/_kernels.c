@@ -113,28 +113,63 @@ EXPORT void eventor_canonical_batch(
     }
 }
 
+/* Load-time ISA dispatch for the vectorisable kernels.  On x86-64 ELF
+ * targets the compiler emits an AVX-512 (x86-64-v4), an AVX2 (x86-64-v3)
+ * and a baseline clone of each marked function, and the dynamic loader
+ * binds the widest one the CPU supports; elsewhere the macro is empty and
+ * the same C compiles scalar.  Every clone runs the same IEEE operations
+ * in the same order (and -ffp-contract=off forbids FMA in all of them),
+ * so the choice of clone never changes a result bit.  Defining
+ * EVENTOR_CLONES empty at compile time (-DEVENTOR_CLONES=) pins one ISA
+ * level, which is how the tests check each clone. */
+#ifndef EVENTOR_CLONES
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define EVENTOR_CLONES \
+    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+#endif
+#endif
+#ifndef EVENTOR_CLONES
+#define EVENTOR_CLONES
+#endif
+
+/* Events per index/scatter chunk of the nearest kernel (a 4 KiB stack
+ * buffer of int32 flat indices). */
+#define NEAREST_CHUNK 1024
+
 /* Fused proportional back-projection + nearest voting over a frame batch.
  *
  * Per (event, plane) pair: u = u0*alpha + beta, v = v0*alpha + gamma,
- * round half-up (floor(x + 0.5)), bounds-check, count.  The bounds test
- * runs on doubles BEFORE any integer cast, so NaN/inf coordinates (which
- * numpy masks via its finiteness pass) simply fail the comparison -- no
- * undefined float->int casts.  Rows with valid == 0 are projection
- * misses and cast no votes.  Integer counts are order-independent, so
- * the plane-major loop (cache-resident count window) is bit-exact with
- * the reference's row-major scatter.
+ * round half-up (floor(x + 0.5)), bounds-check, count.  Each (plane,
+ * frame, chunk of <= NEAREST_CHUNK events) runs in two passes:
+ *
+ *   1. index pass (branch-free, so it vectorises): the bounds test runs
+ *      on the doubles, combined with the valid flag by bitwise &, and a
+ *      row that misses has its coordinates replaced by 0.0 before the
+ *      int cast -- so a NaN/inf coordinate (which numpy masks via its
+ *      finiteness pass) fails the comparison and is never cast.  Writes
+ *      the int32 flat index (int)tv*w + (int)tu, or -1 for no vote.
+ *   2. scatter pass: increments the plane's count window at every
+ *      index >= 0 and counts the votes.
+ *
+ * Rows with valid == 0 are projection misses and cast no votes.  Integer
+ * counts are order-independent, so the plane-major loop (cache-resident
+ * count window) is bit-exact with the reference's row-major scatter.
  *
  *   phi:    (B, nz, 3)
  *   uv0:    (B, N, 2) canonical pixels (miss rows zeroed, as produced)
  *   valid:  (B, N) uint8 projection-miss mask
  *   counts: (nz*h*w,) int32, accumulated in place
  *
- * int32 counts halve the scatter footprint (the cache-resident plane
- * window below); a cell's count is bounded by the events of one
- * reference segment, far below 2^31, and the caller widens on
- * materialization.  Returns the number of votes cast (in-bounds hits),
- * matching the reference vote accounting.
+ * Precondition: h*w < 2^31, so a flat index within one plane fits int32
+ * (the Python binding checks it).  int32 counts halve the scatter
+ * footprint; a cell's count is bounded by the events of one reference
+ * segment, far below 2^31, and the caller widens on materialization.
+ * Returns the number of votes cast (in-bounds hits), matching the
+ * reference vote accounting.
  */
+EVENTOR_CLONES
 EXPORT ll eventor_vote_nearest_batch(
     const double *phi, const double *uv0, const unsigned char *valid,
     ll B, ll N, ll nz, ll h, ll w,
@@ -143,6 +178,8 @@ EXPORT ll eventor_vote_nearest_batch(
     ll votes = 0;
     const double wD = (double)w;
     const double hD = (double)h;
+    const int32_t wi = (int32_t)w;
+    int32_t idx[NEAREST_CHUNK];
     /* Plane-major over the whole batch: one plane's count window stays
      * cache-resident while every frame scatters into it (the batched
      * numpy voter walks planes for the same reason).  Counts are
@@ -150,26 +187,34 @@ EXPORT ll eventor_vote_nearest_batch(
     for (ll z = 0; z < nz; ++z) {
         int32_t *cz = counts + z * h * w;
         for (ll b = 0; b < B; ++b) {
-            const double *uvb = uv0 + b * N * 2;
-            const unsigned char *vb = valid + b * N;
             const double *phib = phi + b * nz * 3;
             const double a = phib[3 * z];
             const double beta = phib[3 * z + 1];
             const double gamma = phib[3 * z + 2];
-            for (ll i = 0; i < N; ++i) {
-                if (!vb[i])
-                    continue;
-                const double u = uvb[2 * i] * a + beta;
-                const double v = uvb[2 * i + 1] * a + gamma;
-                /* floor(x+0.5) >= 0 iff x+0.5 >= 0; floor(x+0.5) < w iff
-                 * x+0.5 < w (w integral).  NaN fails every comparison. */
-                const double tu = u + 0.5;
-                const double tv = v + 0.5;
-                if (!(tu >= 0.0) || !(tu < wD) || !(tv >= 0.0) || !(tv < hD))
-                    continue;
-                /* truncation == floor for non-negative values */
-                cz[(ll)tv * w + (ll)tu] += 1;
-                ++votes;
+            for (ll i0 = 0; i0 < N; i0 += NEAREST_CHUNK) {
+                const int n = (int)(N - i0 < NEAREST_CHUNK ? N - i0 : NEAREST_CHUNK);
+                const double *p = uv0 + (b * N + i0) * 2;
+                const unsigned char *vb = valid + b * N + i0;
+                for (int i = 0; i < n; ++i) {
+                    /* floor(x+0.5) >= 0 iff x+0.5 >= 0; floor(x+0.5) < w
+                     * iff x+0.5 < w (w integral).  NaN fails every
+                     * comparison. */
+                    const double tu = p[2 * i] * a + beta + 0.5;
+                    const double tv = p[2 * i + 1] * a + gamma + 0.5;
+                    const int hit = (vb[i] != 0) & (tu >= 0.0) & (tu < wD)
+                                    & (tv >= 0.0) & (tv < hD);
+                    /* truncation == floor for non-negative values */
+                    const int32_t ku = (int32_t)(hit ? tu : 0.0);
+                    const int32_t kv = (int32_t)(hit ? tv : 0.0);
+                    idx[i] = hit ? kv * wi + ku : -1;
+                }
+                for (int i = 0; i < n; ++i) {
+                    const int32_t k = idx[i];
+                    if (k >= 0) {
+                        cz[k] += 1;
+                        ++votes;
+                    }
+                }
             }
         }
     }

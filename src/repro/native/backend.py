@@ -139,7 +139,7 @@ class NativeBatchBackend(_NumpyBackendBase):
         t0 = time.perf_counter()
         phi = np.ascontiguousarray(params.phi)
         uv0 = np.ascontiguousarray(uv0)
-        misses = int(np.count_nonzero(~valid))
+        misses = valid.size - int(np.count_nonzero(valid))
         if self._counts is not None:
             votes = self._kernels.vote_nearest_batch(
                 phi, uv0, valid, self._counts, self._dsi.shape

@@ -235,10 +235,16 @@ class CExtensionKernels:
         by the caller; votes accumulate in place (int32 halves the scatter
         footprint; a cell's count is bounded by the events of one
         reference segment, and the caller widens on materialization).
+        The kernel indexes a plane with int32, so ``H*W`` must be below
+        ``2**31``.
         """
         nz, h, w = shape
         if counts.dtype != np.int32 or not counts.flags.c_contiguous:
             raise ValueError("counts must be a C-contiguous int32 buffer")
+        if h * w >= 2**31:
+            raise ValueError(
+                f"plane of {h}x{w} cells does not fit the kernel's int32 index"
+            )
         phi = _c_contiguous(phi, np.float64)
         uv0 = _c_contiguous(uv0, np.float64)
         valid8 = _as_uint8(valid)

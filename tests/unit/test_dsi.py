@@ -181,3 +181,67 @@ class TestArgmaxProjection:
         dsi.scores[2:6, 1, 1] = 5
         _, depth = dsi.max_projection()
         assert depth[1, 1] == pytest.approx(dsi.depths[3])
+
+
+def _four_pass_projection(scores, score_limit):
+    """The former four-pass formulation, kept as the one-sweep oracle."""
+    if score_limit is not None:
+        scores = np.minimum(scores, score_limit)
+    first = np.argmax(scores, axis=0)
+    last = scores.shape[0] - 1 - np.argmax(scores[::-1], axis=0)
+    confidence = np.take_along_axis(scores, first[None], axis=0)[0]
+    return confidence.astype(float), (first + last) // 2
+
+
+class TestOneSweepProjection:
+    """``argmax_projection`` equals the four-pass oracle bit for bit."""
+
+    def check(self, camera, scores, score_limit=None):
+        dsi = DSI(camera, SE3.identity(), depth_planes(1.0, 4.0, 2),
+                  integer_scores=scores.dtype == np.int64,
+                  score_limit=score_limit)
+        dsi.scores = scores  # any plane count, including Nz == 1
+        confidence, mid = dsi.argmax_projection()
+        ref_confidence, ref_mid = _four_pass_projection(scores, score_limit)
+        assert confidence.dtype == ref_confidence.dtype
+        assert mid.dtype == ref_mid.dtype
+        np.testing.assert_array_equal(confidence, ref_confidence)
+        np.testing.assert_array_equal(mid, ref_mid)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_volume_with_plateaus(self, small_camera, seed):
+        rng = np.random.default_rng(seed)
+        h, w = small_camera.height, small_camera.width
+        scores = rng.integers(0, 4, size=(16, h, w))
+        # Depth plateaus: runs of equal counts along a column, some at
+        # the column maximum, some split by lower planes.
+        scores[3:9] = np.maximum(scores[3:9], 5)
+        scores[11:13, : h // 2] = 5
+        self.check(small_camera, scores.astype(np.int64))
+
+    def test_saturation_ties(self, small_camera):
+        rng = np.random.default_rng(7)
+        h, w = small_camera.height, small_camera.width
+        scores = rng.integers(0, 200, size=(10, h, w)).astype(np.int64)
+        self.check(small_camera, scores, score_limit=120)
+        self.check(small_camera, scores, score_limit=1)
+
+    def test_float_scores_without_limit(self, small_camera):
+        rng = np.random.default_rng(3)
+        h, w = small_camera.height, small_camera.width
+        scores = rng.random((12, h, w))
+        scores[4:7, 5] = 2.0  # exact float ties too
+        self.check(small_camera, scores)
+
+    def test_single_plane(self, small_camera):
+        rng = np.random.default_rng(5)
+        h, w = small_camera.height, small_camera.width
+        scores = rng.integers(0, 9, size=(1, h, w)).astype(np.int64)
+        self.check(small_camera, scores, score_limit=4)
+        self.check(small_camera, scores.astype(float))
+
+    def test_all_zero_volume(self, small_camera):
+        h, w = small_camera.height, small_camera.width
+        self.check(small_camera, np.zeros((9, h, w), dtype=np.int64),
+                   score_limit=65535)
+        self.check(small_camera, np.zeros((9, h, w)))

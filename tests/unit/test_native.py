@@ -5,12 +5,18 @@ Three concerns, matching the package's three layers:
 * **kernel exactness** — each native kernel against its numpy reference:
   bit-exact for φ and both voting kernels, epsilon-bounded (with the
   declared ``CANONICAL_RTOL``/``CANONICAL_ATOL``) for the standalone
-  canonical projection;
+  canonical projection; the nearest kernel also on its chunking,
+  rounding-border and non-finite edge cases, at every ISA dispatch level
+  the host supports;
 * **kernel loading** — the status line of a loaded library and the
   unavailable path;
 * **registry consistency** — ``native-batch`` registers iff the kernels
   load, and the CLI surfaces the provider status.
 """
+
+import platform
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +35,10 @@ from repro.native import (
     get_kernels,
     provider_status,
 )
+from repro.native import cext
 from repro.native import provider as provider_module
 from repro.native.backend import register_native_backend
-from repro.native.cext import BilinearScratch
+from repro.native.cext import BilinearScratch, CExtensionKernels
 
 HAVE_KERNELS = get_kernels() is not None
 
@@ -63,36 +70,129 @@ B, N = 5, 400
 Z0 = 0.7
 
 
-def _workload(seed=7):
+def _workload(seed=7, b=B, n=N):
     """A ``(phi, uv0, valid)`` block with misses and out-of-bounds rows."""
     nz, h, w = SHAPE
     rng = np.random.default_rng(seed)
     camera = PinholeCamera.ideal(w, h, fov_deg=60.0)
     depths = np.linspace(Z0, 2.5 * Z0, nz)
-    centers = rng.uniform(-0.05, 0.05, size=(B, 3))
+    centers = rng.uniform(-0.05, 0.05, size=(b, 3))
     phi = proportional_coefficients_batch(centers, Z0, depths, camera)
     # Canonical coordinates spanning past the borders, plus miss rows.
     uv0 = np.stack(
         [
-            rng.uniform(-6.0, w + 6.0, size=(B, N)),
-            rng.uniform(-6.0, h + 6.0, size=(B, N)),
+            rng.uniform(-6.0, w + 6.0, size=(b, n)),
+            rng.uniform(-6.0, h + 6.0, size=(b, n)),
         ],
         axis=2,
     )
-    valid = rng.random((B, N)) > 0.1
+    valid = rng.random((b, n)) > 0.1
     uv0 = np.where(valid[..., None], uv0, 0.0)  # canonical stage zeroes misses
     return camera, depths, centers, phi, uv0, valid
 
 
-def _reference_vote(phi, uv0, valid, flat, method):
+def _reference_vote(phi, uv0, valid, flat, method, shape=SHAPE):
     """The per-frame numpy reference path the fused kernels must match."""
     total = 0
     for b in range(uv0.shape[0]):
         u, v = apply_proportional(phi[b], uv0[b])
         u[~valid[b]] = np.nan
         v[~valid[b]] = np.nan
-        total += method(flat, u, v, SHAPE)
+        total += method(flat, u, v, shape)
     return total
+
+
+def _random_nearest_case(n, seed):
+    """One frame of ``n`` events (``B = 1``) over the shared geometry."""
+    _, _, _, phi, uv0, valid = _workload(seed, b=1, n=n)
+    return phi, uv0, valid, SHAPE
+
+
+def _identity_case(coords):
+    """Events whose canonical pixels land on every plane unchanged.
+
+    φ = (1, 0, 0) makes ``u = u0*1 + 0`` exact, so the kernel sees the
+    given coordinates bit for bit before its ``+ 0.5`` rounding step.
+    """
+    nz, h, w = 3, 5, 7
+    uv0 = np.asarray(coords, dtype=float).reshape(1, -1, 2)
+    phi = np.zeros((1, nz, 3))
+    phi[..., 0] = 1.0
+    return phi, uv0, np.ones(uv0.shape[:2], dtype=bool), (nz, h, w)
+
+
+def _border_case():
+    """Coordinates exactly on, and one ULP off, the rounding borders."""
+    h, w = 5, 7
+    below_w = np.nextafter(w - 0.5, -np.inf)  # u + 0.5 == largest double < w
+    below_h = np.nextafter(h - 0.5, -np.inf)
+    just_neg = np.nextafter(-0.5, -np.inf)  # u + 0.5 < 0 by one ULP
+    coords = [
+        (-0.5, 2.0),  # u + 0.5 == 0: column 0
+        (2.0, -0.5),  # v + 0.5 == 0: row 0
+        (w - 0.5, 2.0),  # u + 0.5 == w: out of bounds
+        (2.0, h - 0.5),  # v + 0.5 == h: out of bounds
+        (below_w, 2.0),  # column w - 1
+        (2.0, below_h),  # row h - 1
+        (below_w, below_h),
+        (just_neg, 2.0),
+        (2.0, just_neg),
+        (2.5, 1.5),  # halves round up
+        (-0.5, -0.5),
+    ]
+    return _identity_case(coords)
+
+
+def _non_finite_case():
+    """NaN and ±inf coordinates on rows flagged valid."""
+    nan, inf = np.nan, np.inf
+    coords = [
+        (nan, 1.0),
+        (1.0, nan),
+        (inf, 1.0),
+        (-inf, 1.0),
+        (1.0, inf),
+        (1.0, -inf),
+        (nan, nan),
+        (3.0, 2.0),  # one ordinary hit among them
+    ]
+    return _identity_case(coords)
+
+
+def _all_invalid_case():
+    phi, uv0, valid, shape = _random_nearest_case(300, seed=5)
+    return phi, uv0, np.zeros_like(valid), shape
+
+
+#: Edge cases of the nearest kernel: one event, exactly one 1024-event
+#: chunk, and a chunk tail; rounding borders; non-finite coordinates; an
+#: all-invalid batch.
+NEAREST_CASES = {
+    "n1": lambda: _random_nearest_case(1, seed=1),
+    "n1024": lambda: _random_nearest_case(1024, seed=2),
+    "n2500": lambda: _random_nearest_case(2500, seed=3),
+    "borders": _border_case,
+    "non_finite": _non_finite_case,
+    "all_invalid": _all_invalid_case,
+}
+
+
+def _check_nearest_exact(kernels, case):
+    """The kernel's counts and vote total equal the numpy reference's.
+
+    Counts start non-zero, so a kernel that clears or overwrites them
+    instead of accumulating fails too.
+    """
+    phi, uv0, valid, shape = case
+    nz, h, w = shape
+    start = np.arange(nz * h * w, dtype=np.int64) % 3
+    ref_flat = start.copy()
+    ref_votes = _reference_vote(phi, uv0, valid, ref_flat, vote_nearest_into, shape)
+    counts = start.astype(np.int32)
+    votes = kernels.vote_nearest_batch(phi, uv0, valid, counts, shape)
+    np.testing.assert_array_equal(counts.astype(np.int64), ref_flat)
+    assert votes == ref_votes
+    return votes
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +263,21 @@ class TestKernelExactness:
         np.testing.assert_array_equal(flat, ref_flat)
         assert votes == ref_votes
 
+    @pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+    def test_vote_nearest_edge_cases(self, case):
+        votes = _check_nearest_exact(get_kernels(), NEAREST_CASES[case]())
+        expected = {"borders": 7 * 3, "non_finite": 3, "all_invalid": 0}
+        if case in expected:
+            assert votes == expected[case]
+
+    def test_vote_nearest_rejects_plane_beyond_int32_index(self):
+        _, _, _, phi, uv0, valid = _workload()
+        counts = np.zeros(1, dtype=np.int32)
+        with pytest.raises(ValueError, match="int32 index"):
+            get_kernels().vote_nearest_batch(
+                phi, uv0, valid, counts, (SHAPE[0], 2**16, 2**15)
+            )
+
     def test_vote_nearest_rejects_wrong_counts_dtype(self):
         _, _, _, phi, uv0, valid = _workload()
         nz, h, w = SHAPE
@@ -175,6 +290,63 @@ class TestKernelExactness:
         scratch = BilinearScratch(N, SHAPE[0])
         with pytest.raises(ValueError):
             scratch.check(N + 1, SHAPE[0])
+
+
+# ----------------------------------------------------------------------
+# ISA dispatch levels
+# ----------------------------------------------------------------------
+_V3_FLAGS = {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "movbe", "xsave"}
+#: CPU flags each x86-64 micro-architecture level (the psABI levels the
+#: kernel's target clones are built for) needs.
+LEVEL_FLAGS = {
+    "x86-64": set(),
+    "x86-64-v3": _V3_FLAGS,
+    "x86-64-v4": _V3_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+
+
+def _cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+def _host_supports(level):
+    on_x86 = platform.machine() in ("x86_64", "AMD64")
+    return on_x86 and LEVEL_FLAGS[level] <= _cpu_flags()
+
+
+@pytest.mark.parametrize("level", list(LEVEL_FLAGS))
+def test_every_dispatch_level_bit_exact(level, tmp_path):
+    """Each ISA level the load-time dispatch can pick votes bit-exactly.
+
+    ``-DEVENTOR_CLONES=`` turns the target clones off and ``-march`` pins
+    one level, so this covers the clones the host's dispatch does not
+    select.
+    """
+    compiler = cext._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    if not _host_supports(level):
+        pytest.skip(f"host CPU lacks {level}")
+    out = tmp_path / f"kernels_{level}.so"
+    flags = [*cext.BUILD_FLAGS, "-DEVENTOR_CLONES=", f"-march={level}"]
+    proc = subprocess.run(
+        [compiler, *flags, "-o", str(out), str(cext.SOURCE), "-lm"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kernels = CExtensionKernels(out)
+    _, _, _, phi, uv0, valid = _workload()
+    _check_nearest_exact(kernels, (phi, uv0, valid, SHAPE))
+    for make in NEAREST_CASES.values():
+        _check_nearest_exact(kernels, make())
 
 
 # ----------------------------------------------------------------------
