@@ -116,18 +116,20 @@ EXPORT void eventor_canonical_batch(
 /* Load-time ISA dispatch for the vectorisable kernels.  On x86-64 ELF
  * targets the compiler emits an AVX-512 (x86-64-v4), an AVX2 (x86-64-v3)
  * and a baseline clone of each marked function, and the dynamic loader
- * binds the widest one the CPU supports; elsewhere the macro is empty and
- * the same C compiles scalar.  Every clone runs the same IEEE operations
- * in the same order (and -ffp-contract=off forbids FMA in all of them),
- * so the choice of clone never changes a result bit.  Defining
+ * binds the widest one the CPU supports.  The clones need GCC 12 or later
+ * (the first with a dispatcher for the x86-64-vN levels) and glibc (the
+ * dispatcher is an ifunc); everywhere else -- clang, musl, macOS,
+ * Windows, ARM -- the macro is empty and the same C compiles as one
+ * function for the build's -march.  Every clone runs the same IEEE
+ * operations in the same order (and -ffp-contract=off forbids FMA in all
+ * of them), so the choice of clone never changes a result bit.  Defining
  * EVENTOR_CLONES empty at compile time (-DEVENTOR_CLONES=) pins one ISA
  * level, which is how the tests check each clone. */
 #ifndef EVENTOR_CLONES
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define EVENTOR_CLONES \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#endif
 #endif
 #endif
 #ifndef EVENTOR_CLONES
