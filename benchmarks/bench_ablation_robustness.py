@@ -12,7 +12,7 @@ sizing and DMA efficiency — as Sec. 4.1 states.
 import pytest
 
 from benchmarks.conftest import eval_events, write_result
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.metrics import evaluate_reconstruction
 from repro.eval.reporting import Table
 from repro.hardware.config import EventorConfig
@@ -30,10 +30,11 @@ def _pose_noise_sweep(sequences):
         trajectory = seq.trajectory.perturbed(
             translation_std=noise_mm * 1e-3, rotation_std=noise_mm * 2e-4, seed=7
         )
-        pipe = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
+        engine = ReconstructionEngine(
+            seq.camera, trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
         )
-        metrics = evaluate_reconstruction(pipe.run(events, trajectory), seq)
+        metrics = evaluate_reconstruction(engine.run(events), seq)
         rows.append((noise_mm, metrics))
     return rows
 
@@ -78,10 +79,11 @@ def _frame_size_sweep(sequences):
     rows = []
     for frame_size in (256, 1024, 4096):
         config = EMVSConfig(n_depth_planes=128, frame_size=frame_size)
-        pipe = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
+        engine = ReconstructionEngine(
+            seq.camera, seq.trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
         )
-        metrics = evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+        metrics = evaluate_reconstruction(engine.run(events), seq)
         cfg = EventorConfig(frame_size=frame_size)
         rate = TimingModel(cfg).event_rate(False)
         rows.append((frame_size, metrics, rate))

@@ -18,7 +18,7 @@ Nz=32) so future changes to the detection stage are measured against it.
 import pytest
 
 from benchmarks.conftest import eval_events, write_result
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.core.config import DetectionConfig
 from repro.eval.metrics import evaluate_reconstruction
 from repro.eval.reporting import Table
@@ -30,8 +30,11 @@ def _run(seq, events, n_planes, subvoxel):
         frame_size=1024,
         detection=DetectionConfig(subvoxel=subvoxel),
     )
-    pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
-    return evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range,
+        policy=REFORMULATED_POLICY,
+    )
+    return evaluate_reconstruction(engine.run(events), seq)
 
 
 def _sweep(sequences):

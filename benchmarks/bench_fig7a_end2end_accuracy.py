@@ -15,7 +15,7 @@ from benchmarks.conftest import (
     eval_events,
     write_result,
 )
-from repro.core import EMVSPipeline, ReformulatedPipeline
+from repro.core import ORIGINAL_POLICY, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.metrics import evaluate_reconstruction
 from repro.eval.reporting import Table, bar_chart
 from repro.events.datasets import SEQUENCE_NAMES, SHORT_NAMES
@@ -32,15 +32,18 @@ def _compute(sequences):
     for name in SEQUENCE_NAMES:
         seq = sequences[name]
         events = eval_events(seq)
-        original = EMVSPipeline(
-            seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        reformulated = ReformulatedPipeline(
-            seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
         out[name] = {
-            "original": evaluate_reconstruction(original, seq),
-            "reformulated": evaluate_reconstruction(reformulated, seq),
+            label: evaluate_reconstruction(
+                ReconstructionEngine(
+                    seq.camera, seq.trajectory, ACCURACY_CONFIG,
+                    seq.depth_range, policy=policy,
+                ).run(events),
+                seq,
+            )
+            for label, policy in (
+                ("original", ORIGINAL_POLICY),
+                ("reformulated", REFORMULATED_POLICY),
+            )
         }
     return out
 
@@ -109,10 +112,12 @@ def test_bench_reformulated_pipeline(benchmark, sequences):
     """Wall-clock of the full reformulated pipeline on a 100-frame slice."""
     seq = sequences["simulation_3planes"]
     events = seq.events.time_slice(0.95, 1.08)
-    pipe = ReformulatedPipeline(
-        seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-    )
-    result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
-    )
+
+    def run():
+        return ReconstructionEngine(
+            seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(events)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.n_points > 0

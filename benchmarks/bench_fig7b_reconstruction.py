@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_result
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.reporting import Table
 
 #: The generating scene's plane depths (repro.events.scenes.three_planes_scene).
@@ -30,8 +30,10 @@ def _compute(sequences):
     config = EMVSConfig(
         n_depth_planes=100, frame_size=1024, keyframe_distance=0.12
     )
-    pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
-    return pipe.run(events, seq.trajectory)
+    return ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range,
+        policy=REFORMULATED_POLICY,
+    ).run(events)
 
 
 @pytest.fixture

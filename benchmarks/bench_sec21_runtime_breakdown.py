@@ -25,7 +25,7 @@ from benchmarks.conftest import (
     write_result,
 )
 from repro.baseline.profile import WorkloadProfile, stage_breakdown
-from repro.core import ReconstructionEngine, ReformulatedPipeline
+from repro.core import REFORMULATED_POLICY, ReconstructionEngine
 from repro.core.engine import BACKENDS
 from repro.eval.reporting import Table, format_percent
 
@@ -124,12 +124,14 @@ def test_sec21_host_measured_breakdown(benchmark, sequences):
     """
     seq = sequences["simulation_3planes"]
     events = eval_events(seq)
-    pipe = ReformulatedPipeline(
-        seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-    )
-    result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
-    )
+
+    def run():
+        return ReconstructionEngine(
+            seq.camera, seq.trajectory, ACCURACY_CONFIG, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(events)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     stages = result.profile.stage_seconds
     total = result.profile.total_seconds()
     p_r = (stages.get("P_Z0", 0.0) + stages.get("P_Zi_R", 0.0)) / total

@@ -13,7 +13,7 @@ import pytest
 
 from benchmarks.conftest import eval_events, write_result
 from repro.baseline.cpu_model import CPUTimingModel
-from repro.core import EMVSConfig
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.reporting import Table
 from repro.hardware import EventorConfig, EventorSystem
 from repro.hardware.energy import PowerModel
@@ -119,14 +119,15 @@ def test_table3_measured_on_stream(benchmark, sequences):
 @pytest.mark.benchmark(group="table3")
 def test_bench_host_pipeline_rate(benchmark, sequences):
     """Host-python reference throughput (context for the model numbers)."""
-    from repro.core import ReformulatedPipeline
-
     seq = sequences["simulation_3planes"]
     events = seq.events.time_slice(0.95, 1.05)
     config = EMVSConfig(n_depth_planes=128, frame_size=1024)
-    pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
 
-    result = benchmark.pedantic(
-        lambda: pipe.run(events, seq.trajectory), rounds=1, iterations=1
-    )
+    def run():
+        return ReconstructionEngine(
+            seq.camera, seq.trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(events)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.profile.n_frames > 0

@@ -17,11 +17,10 @@ import os
 
 import pytest
 
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import EMVSConfig
 from repro.core.voting import VotingMethod
-from repro.eval.metrics import evaluate_reconstruction
+from repro.eval import experiments
 from repro.events.datasets import SEQUENCE_NAMES, load_sequence
-from repro.fixedpoint.quantize import EVENTOR_SCHEMA, FLOAT_SCHEMA
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 # The directory is gitignored (artifacts are produced per run and, in CI,
@@ -104,19 +103,7 @@ def eval_events(seq):
 
 
 def run_variant(seq, voting: VotingMethod, quantized: bool):
-    """Run one (voting, quantization) pipeline variant and evaluate it."""
-    events = eval_events(seq)
-    if quantized and voting is VotingMethod.NEAREST:
-        pipe = ReformulatedPipeline(
-            seq.camera, ACCURACY_CONFIG, depth_range=seq.depth_range
-        )
-    else:
-        pipe = EMVSPipeline(
-            seq.camera,
-            ACCURACY_CONFIG,
-            depth_range=seq.depth_range,
-            voting=voting,
-            schema=EVENTOR_SCHEMA if quantized else FLOAT_SCHEMA,
-        )
-    result = pipe.run(events, seq.trajectory)
-    return evaluate_reconstruction(result, seq)
+    """Score one (voting, quantization) variant on the bench window."""
+    return experiments.run_variant(
+        seq, eval_events(seq), voting, quantized, ACCURACY_CONFIG
+    )

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Streaming (SLAM-style) mapping with the online front-end.
+"""Streaming (SLAM-style) mapping with the incremental engine interface.
 
-Feeds the ``slider_far`` replica to :class:`repro.core.online.OnlineEMVS`
-in small chunks, as a live system would, prints a line per finished key
+Feeds the ``slider_far`` replica to a
+:class:`repro.core.ReconstructionEngine` (``push``/``finish``) in small
+chunks, as a live system would, prints a line per finished key
 frame as its reconstruction pops out of the callback, and exports the
 final map as PLY plus the last key frame's depth map as PGM/PFM.
 
@@ -14,8 +15,7 @@ import sys
 
 import numpy as np
 
-from repro.core import EMVSConfig
-from repro.core.online import OnlineEMVS
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.events.datasets import load_sequence
 from repro.io.pgm import depth_to_image, save_pfm, save_pgm
 from repro.io.ply import save_ply
@@ -45,11 +45,12 @@ def main():
             f"{reconstruction.n_events} events)"
         )
 
-    mapper = OnlineEMVS(
+    mapper = ReconstructionEngine(
         seq.camera,
         seq.trajectory,
         EMVSConfig(n_depth_planes=100, frame_size=1024, keyframe_distance=0.08),
-        depth_range=seq.depth_range,
+        seq.depth_range,
+        policy=REFORMULATED_POLICY,
         on_keyframe=on_keyframe,
     )
 
@@ -58,7 +59,7 @@ def main():
     for t0, t1 in zip(edges[:-1], edges[1:]):
         mapper.push(events.time_slice(t0, t1))
 
-    cloud = mapper.finish()
+    cloud = mapper.finish().cloud
     print(f"final map: {len(cloud)} points from {len(mapper.keyframes)} key frames")
 
     ply_path = os.path.join(out_dir, "online_map.ply")

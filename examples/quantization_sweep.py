@@ -14,7 +14,7 @@ Run:  python examples/quantization_sweep.py
 import os
 from dataclasses import replace
 
-from repro.core import EMVSConfig, EMVSPipeline
+from repro.core import EMVSConfig, ORIGINAL_POLICY, ReconstructionEngine
 from repro.core.voting import VotingMethod
 from repro.eval.metrics import evaluate_reconstruction
 from repro.events.datasets import load_sequence
@@ -29,14 +29,11 @@ FAST = bool(os.environ.get("REPRO_EXAMPLES_FAST"))
 
 def run(seq, events, schema):
     config = EMVSConfig(n_depth_planes=64, frame_size=1024)
-    pipe = EMVSPipeline(
-        seq.camera,
-        config,
-        depth_range=seq.depth_range,
-        voting=VotingMethod.NEAREST,
-        schema=schema,
+    policy = replace(ORIGINAL_POLICY, voting=VotingMethod.NEAREST, schema=schema)
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range, policy=policy
     )
-    return evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+    return evaluate_reconstruction(engine.run(events), seq)
 
 
 def main():

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.metrics import evaluate_reconstruction
 from repro.events.datasets import load_sequence
 
@@ -48,11 +48,12 @@ def main():
           f"({events.event_rate() / 1e6:.2f} Mev/s)")
 
     config = EMVSConfig(n_depth_planes=100, frame_size=1024)
-    pipeline = ReformulatedPipeline(
-        seq.camera, config, depth_range=seq.depth_range
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range,
+        policy=REFORMULATED_POLICY,
     )
     print("Running the reformulated (hardware-friendly) EMVS pipeline...")
-    result = pipeline.run(events, seq.trajectory)
+    result = engine.run(events)
 
     kf = result.keyframes[0]
     print(f"  key frames:       {len(result.keyframes)}")

@@ -15,7 +15,12 @@ import sys
 
 import numpy as np
 
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import (
+    EMVSConfig,
+    ORIGINAL_POLICY,
+    REFORMULATED_POLICY,
+    ReconstructionEngine,
+)
 from repro.eval.metrics import evaluate_reconstruction
 from repro.events.datasets import load_sequence
 
@@ -56,15 +61,16 @@ def main():
         keyframe_distance=0.12,  # re-key every ~12 cm of travel
     )
 
-    for pipeline_cls in (EMVSPipeline, ReformulatedPipeline):
-        pipeline = pipeline_cls(seq.camera, config, depth_range=seq.depth_range)
-        result = pipeline.run(events, seq.trajectory)
+    for policy in (ORIGINAL_POLICY, REFORMULATED_POLICY):
+        result = ReconstructionEngine(
+            seq.camera, seq.trajectory, config, seq.depth_range, policy=policy
+        ).run(events)
         metrics = evaluate_reconstruction(result, seq)
-        print(f"\n[{pipeline.name}]")
+        print(f"\n[{policy.name}]")
         print(f"  key frames: {len(result.keyframes)}, "
               f"points: {result.n_points}, AbsRel: {metrics.absrel:.2%}")
         analyze_planes(result.cloud)
-        if isinstance(pipeline, ReformulatedPipeline):
+        if policy is REFORMULATED_POLICY:
             cloud = result.cloud.radius_filter(radius=0.05, min_neighbors=2)
             with open(out_path, "w") as f:
                 for p in cloud.points:

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.eval.metrics import evaluate_reconstruction
 from repro.events.datasets import load_sequence
 from repro.geometry.camera import PinholeCamera
@@ -41,8 +41,10 @@ def run_sequence(name):
     half = 0.12 if FAST else 0.25
     events = seq.events.time_slice(mid - half, mid + half)
     config = EMVSConfig(n_depth_planes=100, frame_size=1024)
-    pipeline = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
-    result = pipeline.run(events, seq.trajectory)
+    result = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range,
+        policy=REFORMULATED_POLICY,
+    ).run(events)
     metrics = evaluate_reconstruction(result, seq)
 
     print(f"\n=== {name} ===")

@@ -8,13 +8,13 @@ quantization, score storage, batch scheduling) and an execution backend
 from :data:`repro.core.engine.BACKENDS` (``numpy-reference``,
 ``numpy-batch``, ``native-batch``, ``hardware-model``).
 
-:class:`~repro.core.pipeline.EMVSPipeline` (original full-precision EMVS
-with bilinear voting, after Rebecq et al., IJCV 2018),
-:class:`~repro.core.reformulated.ReformulatedPipeline` (Eventor's
-hardware-friendly dataflow) and :class:`~repro.core.online.OnlineEMVS`
-(incremental SLAM front-end) are thin facades binding named policies to
-the engine.  The batch facades consume a :class:`repro.events.Sequence`-like
-bundle of events + trajectory + camera and produce an :class:`EMVSResult`.
+The original full-precision EMVS (bilinear voting, after Rebecq et al.,
+IJCV 2018) and Eventor's hardware-friendly reformulation are the
+:data:`~repro.core.policy.ORIGINAL_POLICY` and
+:data:`~repro.core.policy.REFORMULATED_POLICY` presets of that one engine;
+the Fig. 4 ablation corners are ``dataclasses.replace`` of a preset.
+Batch reconstruction is ``engine.run(events)``; incremental SLAM-style
+mapping is ``push``/``finish`` with an ``on_keyframe`` callback.
 """
 
 from repro.core.config import EMVSConfig, DetectionConfig
@@ -62,9 +62,6 @@ from repro.core.rig import (
     RigMappingResult,
     RigOrchestrator,
 )
-from repro.core.pipeline import EMVSPipeline
-from repro.core.reformulated import ReformulatedPipeline
-from repro.core.online import OnlineEMVS
 
 __all__ = [
     "EMVSConfig",
@@ -110,7 +107,4 @@ __all__ = [
     "RigJobHandle",
     "RigMappingResult",
     "RigOrchestrator",
-    "EMVSPipeline",
-    "ReformulatedPipeline",
-    "OnlineEMVS",
 ]

@@ -85,14 +85,22 @@ def refine_subvoxel(dsi: DSI, indices: np.ndarray) -> np.ndarray:
     clamped to half a plane spacing.  Boundary planes and degenerate
     (non-concave) triplets fall back to the plane centre.
     """
-    scores = dsi.effective_scores().astype(float)
-    nz = scores.shape[0]
+    nz = dsi.n_planes
     inv_depths = 1.0 / dsi.depths
-
     idx = np.clip(indices, 1, nz - 2)
-    s_prev = np.take_along_axis(scores, (idx - 1)[None], axis=0)[0]
-    s_mid = np.take_along_axis(scores, idx[None], axis=0)[0]
-    s_next = np.take_along_axis(scores, (idx + 1)[None], axis=0)[0]
+
+    def plane(offset: int) -> np.ndarray:
+        """Per-pixel score at plane ``idx + offset``, saturated, as float.
+
+        The same values as slicing ``effective_scores()``, without a
+        saturated float copy of the whole volume.
+        """
+        s = np.take_along_axis(dsi.scores, (idx + offset)[None], axis=0)[0]
+        if dsi.score_limit is not None:
+            s = np.minimum(s, dsi.score_limit)
+        return s.astype(float)
+
+    s_prev, s_mid, s_next = plane(-1), plane(0), plane(1)
     denom = s_prev - 2.0 * s_mid + s_next
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 0.5 * (s_prev - s_next) / denom

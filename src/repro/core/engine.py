@@ -1,7 +1,7 @@
 """The streaming reconstruction engine: one dataflow, pluggable substrates.
 
-Every EMVS variant in this repo — the original full-precision pipeline,
-Eventor's reformulated dataflow, the online SLAM front-end and the
+Every EMVS variant in this repo — the original full-precision dataflow,
+Eventor's reformulated dataflow, incremental (SLAM-style) mapping and the
 cycle-accurate accelerator model — executes the same loop::
 
     packetize -> (undistort) -> back-project -> vote -> detect -> lift
@@ -39,7 +39,7 @@ Backends are selected by name from the :data:`BACKENDS` registry:
     run loops.
 
 The engine is *streaming* (push chunks, finish to close) and single-use:
-the batch pipelines construct a fresh engine per run and call
+batch callers construct a fresh engine per run and call
 :meth:`ReconstructionEngine.run` (= push-all + finish).
 """
 

@@ -4,8 +4,8 @@ The Eventor paper (Sec. 2.2) presents *one* algorithm whose execution is
 tuned along three axes — correction scheduling, voting approximation and
 quantization.  A :class:`DataflowPolicy` captures those axes as data, so a
 single :class:`~repro.core.engine.ReconstructionEngine` can execute any
-point of the design space and the pipeline classes reduce to named policy
-presets.
+point of the design space; the original and reformulated pipelines are two
+named presets, and an ablation corner is ``dataclasses.replace`` of one.
 """
 
 from __future__ import annotations

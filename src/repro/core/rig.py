@@ -437,7 +437,10 @@ class RigOrchestrator:
         runs of that camera).  Fusion happens locally at
         :meth:`collect`.
         """
+        from repro.serve.options import JobOptions  # repro.serve imports core
+
         self._check_events(events_by_camera)
+        options = JobOptions(voxel_size=self._explicit_voxel, min_observations=1)
         job_ids = tuple(
             (
                 cam.name,
@@ -445,8 +448,7 @@ class RigOrchestrator:
                     events_by_camera[cam.name],
                     cam.spec,
                     session=session,
-                    voxel_size=self._explicit_voxel,
-                    min_observations=1,
+                    options=options,
                 ),
             )
             for cam in self.rig

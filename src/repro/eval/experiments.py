@@ -7,6 +7,7 @@ the paper's artifacts through these functions; each returns plain data
 ====================  =====================================================
 Function              Paper artifact
 ====================  =====================================================
+``run_variant``              one (voting, quantization) corner, scored
 ``voting_experiment``        Fig. 4a (bilinear vs. nearest)
 ``quantization_experiment``  Fig. 4b (float vs. Table 1 quantization)
 ``reformulation_experiment`` Fig. 7a (original vs. fully reformulated)
@@ -17,10 +18,15 @@ Function              Paper artifact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.baseline.cpu_model import CPUTimingModel
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import (
+    EMVSConfig,
+    ORIGINAL_POLICY,
+    REFORMULATED_POLICY,
+    ReconstructionEngine,
+)
 from repro.core.voting import VotingMethod
 from repro.eval.metrics import DepthMetrics, evaluate_reconstruction
 from repro.fixedpoint.quantize import EVENTOR_SCHEMA, FLOAT_SCHEMA
@@ -44,20 +50,27 @@ class VariantComparison:
         return self.variant.absrel - self.baseline.absrel
 
 
-def _run(seq, events, voting: VotingMethod, quantized: bool, config: EMVSConfig):
-    """One pipeline variant; the fully-reformulated combination routes
-    through :class:`ReformulatedPipeline` (streaming undistortion)."""
+def run_variant(
+    seq, events, voting: VotingMethod, quantized: bool, config: EMVSConfig
+) -> DepthMetrics:
+    """Run and score one (voting, quantization) corner of Figs. 4a/4b/7a.
+
+    The fully-reformulated corner is :data:`REFORMULATED_POLICY`
+    (streaming undistortion, 16-bit DSI scores); every other corner is
+    the original dataflow with its voting kernel and arithmetic swapped.
+    """
     if quantized and voting is VotingMethod.NEAREST:
-        pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
+        policy = REFORMULATED_POLICY
     else:
-        pipe = EMVSPipeline(
-            seq.camera,
-            config,
-            depth_range=seq.depth_range,
+        policy = replace(
+            ORIGINAL_POLICY,
             voting=voting,
             schema=EVENTOR_SCHEMA if quantized else FLOAT_SCHEMA,
         )
-    return evaluate_reconstruction(pipe.run(events, seq.trajectory), seq)
+    engine = ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range, policy=policy
+    )
+    return evaluate_reconstruction(engine.run(events), seq)
 
 
 def voting_experiment(seq, events, config: EMVSConfig | None = None) -> VariantComparison:
@@ -65,8 +78,8 @@ def voting_experiment(seq, events, config: EMVSConfig | None = None) -> VariantC
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.NEAREST, False, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.NEAREST, False, config),
     )
 
 
@@ -75,8 +88,8 @@ def quantization_experiment(seq, events, config: EMVSConfig | None = None) -> Va
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.BILINEAR, True, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.BILINEAR, True, config),
     )
 
 
@@ -85,8 +98,8 @@ def reformulation_experiment(seq, events, config: EMVSConfig | None = None) -> V
     config = config or EMVSConfig(n_depth_planes=100)
     return VariantComparison(
         sequence=seq.name,
-        baseline=_run(seq, events, VotingMethod.BILINEAR, False, config),
-        variant=_run(seq, events, VotingMethod.NEAREST, True, config),
+        baseline=run_variant(seq, events, VotingMethod.BILINEAR, False, config),
+        variant=run_variant(seq, events, VotingMethod.NEAREST, True, config),
     )
 
 

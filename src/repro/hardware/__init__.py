@@ -2,7 +2,8 @@
 
 A transaction-level, cycle-approximate model of the Zynq XC7Z020 design:
 functional datapaths are *bit-true* (integer fixed-point arithmetic per
-Table 1, identical results to :class:`repro.core.ReformulatedPipeline`),
+Table 1, identical results to a :class:`repro.core.ReconstructionEngine`
+running :data:`repro.core.REFORMULATED_POLICY`),
 and timing follows the pipelined execution model of Fig. 6 with constants
 calibrated to the published Table 3 runtimes.
 

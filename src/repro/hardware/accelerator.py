@@ -16,7 +16,8 @@ DRAM, all driven through double-buffered BRAM buffers and the two FSM
 controllers, scheduled per Fig. 6.
 
 The functional output (DSI contents, depth maps, point cloud) is bit-exact
-with :class:`repro.core.ReformulatedPipeline`; on top of that the system
+with a :class:`repro.core.ReconstructionEngine` running
+:data:`repro.core.REFORMULATED_POLICY`; on top of that the system
 produces a :class:`HardwareReport` with cycle-level timing, DRAM traffic,
 energy and utilization — the numbers behind Table 3.
 """

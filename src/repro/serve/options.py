@@ -1,17 +1,18 @@
 """Consolidated configuration objects of the serving layer.
 
-PR 7 grew :class:`~repro.serve.ReconstructionService` six reliability
-kwargs (``retry``, ``deadline_s``, ``segment_deadline_s``,
-``allow_partial``, ``faults``, ``integrity``) copy-pasted across three
-signatures (``__init__`` / ``submit`` / ``open_stream``); the segment
-cache adds tier knobs on top.  This module replaces the knob spread with
-three frozen value objects:
+Every per-job and per-service knob of the serving layer is spelled as one
+of three frozen value objects:
 
 * :class:`JobOptions` — everything that can vary *per job*: the
-  reliability knobs, the fuse parameters, and the cache mode.  ``None``
-  in any field means "inherit" — per-job options are merged over the
-  service defaults by one :meth:`JobOptions.merged` method, so the
-  override semantics live in exactly one place.
+  reliability knobs (retry, deadlines, partial results, fault
+  injection, integrity checks), the fuse parameters and the cache mode.
+  It is the only per-job spelling: ``ReconstructionService.submit`` /
+  ``open_stream`` and their :class:`~repro.serve.gateway.Gateway` twins
+  take ``options=`` and nothing else.  ``None`` in any field means
+  "inherit" — per-job options are merged over the service defaults by
+  one :meth:`JobOptions.merged` method, and the admitted
+  :class:`~repro.serve.session.Job` carries the resolved set as its
+  single ``options`` field.
 * :class:`CacheConfig` — the cache tiers: job-level LRU entry count,
   segment memory-tier bytes, segment disk-tier bytes and directory
   (with an ``REPRO_CACHE_DIR`` environment fallback).
@@ -45,9 +46,8 @@ class JobOptions:
 
     Every field defaults to ``None`` = "inherit the service default";
     a service resolves the effective options with :meth:`merged`.  The
-    reliability fields carry PR 7's exact semantics (see
-    ``docs/RELIABILITY.md``); ``voxel_size`` / ``min_observations`` are
-    the fuse parameters previously passed as loose ``submit`` kwargs;
+    reliability fields carry the semantics of ``docs/RELIABILITY.md``;
+    ``voxel_size`` / ``min_observations`` are the fuse parameters;
     ``cache`` selects this job's cache mode (:data:`CACHE_MODES`).
     """
 
@@ -85,7 +85,7 @@ class JobOptions:
         if self.segment_deadline_s is not None and self.segment_deadline_s <= 0:
             raise ValueError("segment_deadline_s must be positive (or None)")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise TypeError("fault_plan must be a FaultPlan (or None)")
+            raise TypeError("faults must be a FaultPlan (or None)")
         if self.voxel_size is not None and self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if self.min_observations is not None and self.min_observations < 1:
@@ -99,9 +99,8 @@ class JobOptions:
         """These options layered over ``defaults`` (field-wise).
 
         Every ``None`` field inherits the default's value; every set
-        field overrides it.  The single merge rule of the options
-        redesign — the service resolves per-job options as
-        ``explicit_kwargs.merged(options).merged(service_defaults)``.
+        field overrides it.  The single merge rule — the service
+        resolves a job's options as ``options.merged(service_defaults)``.
         """
         overrides = {
             f.name: getattr(self, f.name)

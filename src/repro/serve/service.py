@@ -35,9 +35,10 @@ Semantics in one breath:
   results are cached under a content hash of (events, camera,
   trajectory, config, policy, backend, fuse parameters); a repeated
   submission returns the fused map without recompute, and an identical
-  job submitted while its twin is still *in flight* coalesces onto it
-  (no duplicate compute, both requests settle when the leader
-  finishes) — burst-duplicate traffic costs one reconstruction, not N.
+  job (same key, same resolved options) submitted while its twin is
+  still *in flight* coalesces onto it (no duplicate compute, both
+  requests settle when the leader finishes) — burst-duplicate traffic
+  costs one reconstruction, not N.
   Below that, a tiered **segment cache** (in-memory LRU over a
   persistent on-disk store) memoizes per-segment outcomes under a
   content hash of (segment event slice, engine spec): overlapping jobs
@@ -127,6 +128,20 @@ OVERFLOW_POLICIES = ("refuse", "drop-oldest")
 #: Successful segment completions required to leave serial probation
 #: after a pool break (see ``ReconstructionService._collect_done``).
 PROBATION_SUCCESSES = 3
+
+
+def _coalescing_key(key: str, options: JobOptions) -> tuple[str, JobOptions]:
+    """What two jobs must share for one to coalesce onto the other.
+
+    The job key fixes the result; the resolved options, cache mode
+    aside, fix how the job may end.  A follower inherits its leader's
+    outcome — ``DONE``, ``PARTIAL`` or ``FAILED`` — so it must have
+    asked for the same retries, deadlines, faults and partial-result
+    policy; admitted later under the same ``deadline_s``, it is then
+    settled no later than its own deadline.
+    """
+    return key, replace(options, cache=None)
+
 
 class ServeError(RuntimeError):
     """Base class of service-level failures."""
@@ -334,8 +349,9 @@ class ReconstructionService:
         self._scheduler = RoundRobinScheduler(queue_limit)
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[Future, _Flight] = {}
-        #: cache key -> in-flight job computing it (coalescing target).
-        self._leaders: dict[str, Job] = {}
+        #: (cache key, options) -> in-flight job computing it (coalescing
+        #: target); see :func:`_coalescing_key`.
+        self._leaders: dict[tuple[str, JobOptions], Job] = {}
         self._pool: Executor | None = None
         self._closed = False
         #: Remaining successful collections before parallel dispatch
@@ -511,35 +527,20 @@ class ReconstructionService:
     # Submission
     # ------------------------------------------------------------------
     def _resolve_job_options(
-        self,
-        options: JobOptions | None,
-        *,
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
+        self, options: JobOptions | None, spec: EngineSpec
     ) -> JobOptions:
-        """Resolve one call's effective :class:`JobOptions`.
+        """One call's effective :class:`JobOptions`, as the job carries them.
 
-        The single merge rule: the first-class fuse kwargs
-        (``voxel_size``/``min_observations``) layer over ``options``,
-        which layers over the service defaults —
-        ``fuse.merged(options).merged(self.defaults)``.
+        ``options`` merges over the service defaults (``None`` fields
+        inherit); an unset ``voxel_size`` becomes the spec's
+        :func:`~repro.core.mapping.default_voxel_size`, so a resolved
+        options set is concrete wherever the job needs a value.
         """
-        fuse = JobOptions(voxel_size=voxel_size, min_observations=min_observations)
-        resolved = fuse.merged(options or JobOptions()).merged(self.defaults)
+        resolved = (options or JobOptions()).merged(self.defaults)
+        if resolved.voxel_size is None:
+            resolved = replace(resolved, voxel_size=default_voxel_size(spec.depth_range))
         self._check_options(resolved)
         return resolved
-
-    def _job_kwargs(self, resolved: JobOptions) -> dict:
-        """The :class:`Job` constructor kwargs of a resolved options set."""
-        return dict(
-            retry=resolved.retry,
-            deadline_s=resolved.deadline_s,
-            segment_deadline_s=resolved.segment_deadline_s,
-            allow_partial=bool(resolved.allow_partial),
-            fault_plan=resolved.faults,
-            integrity=bool(resolved.integrity),
-            cache_mode=resolved.cache,
-        )
 
     def submit(
         self,
@@ -547,8 +548,6 @@ class ReconstructionService:
         spec: EngineSpec,
         *,
         session: str = "default",
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
         options: JobOptions | None = None,
     ) -> str:
         """Admit one reconstruction job; returns its job id.
@@ -570,21 +569,16 @@ class ReconstructionService:
         self._prune_terminal()
         if not isinstance(spec, EngineSpec):
             raise TypeError("submit() takes an EngineSpec (see EngineSpec.build)")
-        resolved = self._resolve_job_options(
-            options, voxel_size=voxel_size, min_observations=min_observations
-        )
-        voxel_size = resolved.voxel_size
-        if voxel_size is None:
-            voxel_size = default_voxel_size(spec.depth_range)
-        min_observations = resolved.min_observations
+        resolved = self._resolve_job_options(options, spec)
         mode = resolved.cache
-        reliability = self._job_kwargs(resolved)
 
         key = None
         if mode != "off" and self.cache.enabled:
-            key = job_key(spec, events, voxel_size, min_observations)
+            key = job_key(
+                spec, events, resolved.voxel_size, resolved.min_observations
+            )
         if mode == "on" and key is not None:
-            leader = self._leaders.get(key)
+            leader = self._leaders.get(_coalescing_key(key, resolved))
             if leader is not None and leader.state not in TERMINAL_STATES:
                 # Identical job already in flight: coalesce instead of
                 # recomputing (checked before the cache so a burst does
@@ -599,8 +593,7 @@ class ReconstructionService:
                     events=events,
                     plans=leader.plans,
                     dropped_tail=leader.dropped_tail,
-                    voxel_size=voxel_size,
-                    min_observations=min_observations,
+                    options=resolved,
                     cache_key=key,
                     coalesced_with=leader.job_id,
                     submitted_at=self._clock(),
@@ -621,8 +614,7 @@ class ReconstructionService:
                     events=events,
                     plans=tuple(cached.segments),
                     dropped_tail=0,
-                    voxel_size=voxel_size,
-                    min_observations=min_observations,
+                    options=resolved,
                     cache_key=key,
                     cache_hit=True,
                     result=cached,
@@ -648,14 +640,12 @@ class ReconstructionService:
             events=events,
             plans=tuple(plans),
             dropped_tail=dropped,
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options=resolved,
             cache_key=key,
             submitted_at=self._clock(),
-            **reliability,
         )
-        if job.deadline_s is not None:
-            job.deadline_at = self._clock() + job.deadline_s
+        if resolved.deadline_s is not None:
+            job.deadline_at = self._clock() + resolved.deadline_s
         if mode != "off" and self.segment_cache.enabled:
             # Admission sweep of the segment tier: key every planned
             # segment by its content (the plan's frame-aligned event
@@ -668,7 +658,7 @@ class ReconstructionService:
                 )
                 job.segment_keys[plan.index] = skey
                 if mode == "on":
-                    hit = self.segment_cache.get(skey, verify=job.integrity)
+                    hit = self.segment_cache.get(skey, verify=resolved.integrity)
                     if hit is not None:
                         job.outcomes[plan.index] = (plan.index, list(hit[0]), hit[1])
                         job.segments_cached += 1
@@ -676,7 +666,7 @@ class ReconstructionService:
         self._jobs[job.job_id] = job
         self._jobs_submitted += 1
         if key is not None:
-            self._leaders[key] = job
+            self._leaders[_coalescing_key(key, resolved)] = job
         if not plans:
             # Too short for a single frame: finish with an (accounted)
             # empty result instead of parking a never-schedulable job.
@@ -745,8 +735,6 @@ class ReconstructionService:
         spec: EngineSpec,
         *,
         session: str = "default",
-        voxel_size: float | None = None,
-        min_observations: int | None = None,
         max_pending_chunks: int = 64,
         options: JobOptions | None = None,
     ) -> StreamingSession:
@@ -775,14 +763,7 @@ class ReconstructionService:
             raise TypeError("open_stream() takes an EngineSpec (see EngineSpec.build)")
         if max_pending_chunks < 1:
             raise ValueError("max_pending_chunks must be >= 1")
-        resolved = self._resolve_job_options(
-            options, voxel_size=voxel_size, min_observations=min_observations
-        )
-        voxel_size = resolved.voxel_size
-        if voxel_size is None:
-            voxel_size = default_voxel_size(spec.depth_range)
-        min_observations = resolved.min_observations
-        reliability = self._job_kwargs(resolved)
+        resolved = self._resolve_job_options(options, spec)
         self._admit_session(session)
         job = Job(
             job_id=new_job_id(session),
@@ -791,14 +772,12 @@ class ReconstructionService:
             events=None,
             plans=(),
             dropped_tail=0,
-            voxel_size=voxel_size,
-            min_observations=min_observations,
+            options=resolved,
             cache_key=None,
             stream=StreamState(
-                spec.stream_planner(), voxel_size, max_pending_chunks
+                spec.stream_planner(), resolved.voxel_size, max_pending_chunks
             ),
             submitted_at=self._clock(),
-            **reliability,
         )
         self._scheduler.admit(job)
         self._jobs[job.job_id] = job
@@ -851,8 +830,8 @@ class ReconstructionService:
             return
         stream.open = False
         stream.closed_at = self._clock()
-        if job.deadline_s is not None and job.deadline_at is None:
-            job.deadline_at = self._clock() + job.deadline_s
+        if job.options.deadline_s is not None and job.deadline_at is None:
+            job.deadline_at = self._clock() + job.options.deadline_s
         if not self._closed:
             self._pump()
 
@@ -936,11 +915,11 @@ class ReconstructionService:
         """
         job.plans = job.plans + (plan,)
         job.stream.feed_times[plan.index] = fed_at
-        if job.cache_mode != "off" and self.segment_cache.enabled:
+        if job.options.cache != "off" and self.segment_cache.enabled:
             skey = segment_key(job.spec, segment_events.content_digest())
             job.segment_keys[plan.index] = skey
-            if job.cache_mode == "on":
-                hit = self.segment_cache.get(skey, verify=job.integrity)
+            if job.options.cache == "on":
+                hit = self.segment_cache.get(skey, verify=job.options.integrity)
                 if hit is not None:
                     job.outcomes[plan.index] = (plan.index, list(hit[0]), hit[1])
                     job.segments_cached += 1
@@ -980,7 +959,7 @@ class ReconstructionService:
                         segment_index=index,
                         keyframe_index=stream.keyframes_emitted,
                         keyframe=keyframe,
-                        cloud=stream.global_map.fused_cloud(job.min_observations),
+                        cloud=stream.global_map.fused_cloud(job.options.min_observations),
                         map_voxels=stream.global_map.n_voxels,
                         latency_seconds=now - stream.feed_times[index],
                     )
@@ -1004,7 +983,7 @@ class ReconstructionService:
                 break
             job = decision.job
             index = decision.task.index
-            if job.cache_mode == "on":
+            if job.options.cache == "on":
                 # Dispatch-time cache consult: an outcome that appeared
                 # after admission (typically computed by an overlapping
                 # job in the meantime) completes the segment without
@@ -1013,15 +992,15 @@ class ReconstructionService:
                 skey = job.segment_keys.get(index)
                 if skey is not None:
                     hit = self.segment_cache.get(
-                        skey, count_miss=False, verify=job.integrity
+                        skey, count_miss=False, verify=job.options.integrity
                     )
                     if hit is not None:
                         self._land_cached_segment(job, index, hit)
                         dispatched = True
                         continue
             directive = None
-            if job.fault_plan is not None:
-                directive = job.fault_plan.directive(index, decision.attempt - 1)
+            if job.options.faults is not None:
+                directive = job.options.faults.directive(index, decision.attempt - 1)
             if directive is not None:
                 if directive.kind is FaultKind.CRASH and self.executor == "process":
                     # Hard crashes are only survivable (and meaningful)
@@ -1036,7 +1015,7 @@ class ReconstructionService:
                     self._gates.append(gate_id)
                     directive = replace(directive, gate_id=gate_id)
             future = self.pool.submit(
-                run_guarded_segment, decision.task, directive, job.integrity
+                run_guarded_segment, decision.task, directive, job.options.integrity
             )
             self._inflight[future] = _Flight(
                 job=job,
@@ -1127,7 +1106,7 @@ class ReconstructionService:
                 self._probation -= 1
             outcome, digest = future.result()
             if (
-                job.integrity
+                job.options.integrity
                 and digest is not None
                 and outcome_digest(outcome) != digest
             ):
@@ -1145,7 +1124,7 @@ class ReconstructionService:
             job.outcomes[outcome[0]] = outcome
             if (
                 not flight.faulted
-                and job.cache_mode != "off"
+                and job.options.cache != "off"
                 and self.segment_cache.enabled
             ):
                 # Store only final good outcomes: the integrity gate
@@ -1181,16 +1160,16 @@ class ReconstructionService:
         if job.state in TERMINAL_STATES:
             return
         failures = job.failures[index]
-        if job.retry is not None and job.retry.retryable(failures):
+        if job.options.retry is not None and job.options.retry.retryable(failures):
             job.retries += 1
             self.profile.segments_retried += 1
-            delay = job.retry.delay(index, failures)
+            delay = job.options.retry.delay(index, failures)
             if delay > 0:
                 job.retry_backlog.append((self._clock() + delay, index))
             else:
                 job.requeued.append(index)
             return
-        if job.allow_partial:
+        if job.options.allow_partial:
             job.missing.add(index)
             if job.stream is not None:
                 job.stream.segment_events.pop(index, None)
@@ -1257,8 +1236,8 @@ class ReconstructionService:
             if job.state in TERMINAL_STATES:
                 continue  # lands (and is discarded) in _collect_done
             if (
-                job.segment_deadline_s is None
-                or now - flight.started_at < job.segment_deadline_s
+                job.options.segment_deadline_s is None
+                or now - flight.started_at < job.options.segment_deadline_s
             ):
                 continue
             del self._inflight[future]
@@ -1269,7 +1248,7 @@ class ReconstructionService:
                 job,
                 index,
                 f"segment {index} exceeded its deadline "
-                f"({job.segment_deadline_s} s per attempt)",
+                f"({job.options.segment_deadline_s} s per attempt)",
             )
             progressed = True
         if needs_kill:
@@ -1325,7 +1304,7 @@ class ReconstructionService:
             # the job can reach a terminal state.
             stream.pending_chunks.clear()
             stream.flushed = True
-        if job.allow_partial:
+        if job.options.allow_partial:
             job.missing.update(unlanded)
             if stream is not None:
                 for index in unlanded:
@@ -1334,7 +1313,7 @@ class ReconstructionService:
             self._finalize(job)
             return
         job.error = (
-            f"job deadline exceeded ({job.deadline_s} s); "
+            f"job deadline exceeded ({job.options.deadline_s} s); "
             f"{len(unlanded)} of {job.n_segments} segments unfinished"
         )
         job.finish(JobState.FAILED, at=self._clock())
@@ -1400,12 +1379,12 @@ class ReconstructionService:
         if job.stream is not None:
             global_map = job.stream.global_map
         else:
-            global_map = fuse_keyframes(keyframes, job.spec.camera, job.voxel_size)
+            global_map = fuse_keyframes(keyframes, job.spec.camera, job.options.voxel_size)
         missing = tuple(sorted(job.missing))
         job.result = MappingResult(
             keyframes=keyframes,
             global_map=global_map,
-            cloud=global_map.fused_cloud(job.min_observations),
+            cloud=global_map.fused_cloud(job.options.min_observations),
             profile=profile,
             segments=job.plans,
             workers=self.workers,
@@ -1427,13 +1406,19 @@ class ReconstructionService:
 
     def _settle_followers(self, leader: Job) -> None:
         """Propagate a leader's terminal outcome to its coalesced twins."""
-        if leader.cache_key is not None and self._leaders.get(leader.cache_key) is leader:
-            del self._leaders[leader.cache_key]
+        if leader.cache_key is not None:
+            lead_key = _coalescing_key(leader.cache_key, leader.options)
+            if self._leaders.get(lead_key) is leader:
+                del self._leaders[lead_key]
         for follower in leader.followers:
             if follower.state in TERMINAL_STATES:
                 continue
             if leader.state in (JobState.DONE, JobState.PARTIAL):
+                # Progress as the leader reports it, the way a cache hit
+                # marks its segments landed.
                 follower.result = leader.result
+                follower.outcomes = dict.fromkeys(leader.outcomes)
+                follower.missing = set(leader.missing)
                 follower.finish(leader.state, at=self._clock())
                 if leader.state is JobState.DONE:
                     self._jobs_done += 1
@@ -1514,7 +1499,7 @@ class ReconstructionService:
         """
         times = []
         for flight in self._inflight.values():
-            budget = flight.job.segment_deadline_s
+            budget = flight.job.options.segment_deadline_s
             if budget is not None and flight.job.state not in TERMINAL_STATES:
                 times.append(flight.started_at + budget)
         for job in self._active_jobs():

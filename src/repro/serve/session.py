@@ -22,16 +22,11 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
 from repro.core.engine import EngineSpec, SegmentPlan
 from repro.core.mapping import MappingResult, SegmentOutcome
 from repro.events.containers import EventArray
+from repro.serve.options import JobOptions
 from repro.serve.stream import StreamState
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.faults import FaultPlan
-    from repro.serve.retry import RetryPolicy
 
 
 class JobState(enum.Enum):
@@ -79,8 +74,12 @@ class Job:
     events: EventArray | None
     plans: tuple[SegmentPlan, ...]
     dropped_tail: int
-    voxel_size: float
-    min_observations: int
+    #: The job's effective options, resolved at admission: per-job
+    #: options merged over the service defaults, with ``voxel_size``
+    #: made concrete.  The reliability fields carry ``docs/RELIABILITY.md``
+    #: semantics; for streams the ``deadline_s`` clock starts at
+    #: ``close()`` (an open stream can always grow).
+    options: JobOptions
     cache_key: str | None
     #: Admission instant on the owning service's clock.
     submitted_at: float
@@ -105,22 +104,9 @@ class Job:
     #: incremental planner, the bounded chunk buffer, per-segment event
     #: slices and the incrementally fused map.
     stream: StreamState | None = None
-    #: Retry budget for failed segment attempts (``None`` = fail fast).
-    retry: "RetryPolicy | None" = None
-    #: Whether exhausted retries / deadlines degrade the job to a
-    #: ``PARTIAL`` result instead of failing it.
-    allow_partial: bool = False
-    #: Wall-clock budget of the whole job; for streams the clock starts
-    #: at ``close()`` (an open stream can always grow).
-    deadline_s: float | None = None
-    #: Absolute (service-clock) expiry instant, once armed.
+    #: Absolute (service-clock) expiry instant of ``options.deadline_s``,
+    #: once armed.
     deadline_at: float | None = None
-    #: Per-attempt budget of a single segment on the pool.
-    segment_deadline_s: float | None = None
-    #: Deterministic fault schedule injected into this job's segments.
-    fault_plan: "FaultPlan | None" = None
-    #: Whether workers digest their outcomes for merge-time verification.
-    integrity: bool = False
     #: Dispatch epoch per segment index — bumped on every dispatch (and
     #: on abandonment), so a stale attempt's late result is discarded.
     attempts: dict[int, int] = field(default_factory=dict)
@@ -136,9 +122,6 @@ class Job:
     missing: set[int] = field(default_factory=set)
     #: Full traceback of the failure that terminated the job, if any.
     traceback: str | None = None
-    #: This job's cache mode (``"on"`` / ``"off"`` / ``"refresh"``, see
-    #: :data:`repro.serve.options.CACHE_MODES`).
-    cache_mode: str = "on"
     #: Segment-cache key per segment index, computed at admission (batch
     #: jobs) or as segments are cut (streams); empty when the segment
     #: cache is disabled or the job's cache mode is ``"off"``.

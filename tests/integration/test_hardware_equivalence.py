@@ -1,8 +1,8 @@
 """Integration tests: the accelerator model vs. the software reference.
 
 The central claim of the hardware model: running the same configuration,
-:class:`repro.hardware.EventorSystem` is *bit-exact* with
-:class:`repro.core.ReformulatedPipeline` — identical vote streams, DSI
+:class:`repro.hardware.EventorSystem` is *bit-exact* with the software
+engine under :data:`repro.core.REFORMULATED_POLICY` — identical vote streams, DSI
 contents, depth maps and point clouds — while additionally producing
 calibrated timing (Table 3) and traffic statistics.
 """
@@ -10,7 +10,7 @@ calibrated timing (Table 3) and traffic statistics.
 import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, ReformulatedPipeline
+from repro.core import EMVSConfig, REFORMULATED_POLICY, ReconstructionEngine
 from repro.hardware import EventorConfig, EventorSystem
 
 
@@ -26,8 +26,10 @@ def setup(seq_3planes_fast):
 @pytest.fixture(scope="module")
 def sw_result(setup):
     seq, events, config, _ = setup
-    pipe = ReformulatedPipeline(seq.camera, config, depth_range=seq.depth_range)
-    return pipe.run(events, seq.trajectory)
+    return ReconstructionEngine(
+        seq.camera, seq.trajectory, config, seq.depth_range,
+        policy=REFORMULATED_POLICY,
+    ).run(events)
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +133,10 @@ class TestKeyframeBehaviour:
         config = EMVSConfig(
             n_depth_planes=64, frame_size=1024, keyframe_distance=0.12
         )
-        sw = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
+        sw = ReconstructionEngine(
+            seq.camera, seq.trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(events)
         hw, report = EventorSystem(
             seq.camera, config, depth_range=seq.depth_range, hw_config=hw_config
         ).run(events, seq.trajectory)

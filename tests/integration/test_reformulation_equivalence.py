@@ -10,10 +10,17 @@ only voting approximation and quantization (tested elsewhere) change
 numbers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import EMVSConfig, EMVSPipeline, ReformulatedPipeline
+from repro.core import (
+    EMVSConfig,
+    ORIGINAL_POLICY,
+    REFORMULATED_POLICY,
+    ReconstructionEngine,
+)
 from repro.core.voting import VotingMethod
 from repro.events.containers import EventArray
 from repro.fixedpoint.quantize import EVENTOR_SCHEMA
@@ -60,20 +67,22 @@ class TestDistortionRescheduling:
         seq, camera, raw = distorted_setup
         config = EMVSConfig(n_depth_planes=64, frame_size=1024)
 
-        original_order = EMVSPipeline(
+        original_order = ReconstructionEngine(
             camera,
+            seq.trajectory,
             config,
-            depth_range=seq.depth_range,
-            voting=VotingMethod.NEAREST,
-            schema=EVENTOR_SCHEMA,
-        ).run(raw, seq.trajectory)
-        rescheduled = ReformulatedPipeline(
+            seq.depth_range,
+            policy=replace(
+                ORIGINAL_POLICY, voting=VotingMethod.NEAREST, schema=EVENTOR_SCHEMA
+            ),
+        ).run(raw)
+        rescheduled = ReconstructionEngine(
             camera,
+            seq.trajectory,
             config,
-            depth_range=seq.depth_range,
-            voting=VotingMethod.NEAREST,
-            schema=EVENTOR_SCHEMA,
-        ).run(raw, seq.trajectory)
+            seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(raw)
 
         assert len(original_order.keyframes) == len(rescheduled.keyframes)
         for a, b in zip(original_order.keyframes, rescheduled.keyframes):
@@ -90,12 +99,14 @@ class TestDistortionRescheduling:
         config = EMVSConfig(n_depth_planes=64, frame_size=1024)
         ideal_camera = PinholeCamera.davis240c(distorted=False)
 
-        corrected = ReformulatedPipeline(
-            camera, config, depth_range=seq.depth_range
-        ).run(raw, seq.trajectory)
-        uncorrected = ReformulatedPipeline(
-            ideal_camera, config, depth_range=seq.depth_range
-        ).run(raw, seq.trajectory)
+        corrected = ReconstructionEngine(
+            camera, seq.trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(raw)
+        uncorrected = ReconstructionEngine(
+            ideal_camera, seq.trajectory, config, seq.depth_range,
+            policy=REFORMULATED_POLICY,
+        ).run(raw)
         assert corrected.profile.votes_cast != uncorrected.profile.votes_cast
 
 

@@ -504,14 +504,71 @@ class TestReliabilityValidation:
         ) as service:
             job_id = service.submit(events, spec)
             job = service.jobs[job_id]
-            assert job.retry is retry
-            assert job.deadline_s == 60.0
+            assert job.options.retry is retry
+            assert job.options.deadline_s == 60.0
             assert job.deadline_at is not None
-            assert job.allow_partial
+            assert job.options.allow_partial
             # Per-job overrides win over the service defaults.
             other_id = service.submit(
                 events, spec, options=JobOptions(allow_partial=False, deadline_s=5.0)
             )
             other = service.jobs[other_id]
-            assert not other.allow_partial
-            assert other.deadline_s == 5.0
+            assert not other.options.allow_partial
+            assert other.options.deadline_s == 5.0
+
+
+class TestCoalescingRespectsOptions:
+    """A follower rides only on a leader whose resolved options equal its own,
+    and a settled follower reports the progress its leader reached."""
+
+    FAULTY = JobOptions(
+        faults=FaultPlan(FaultKind.PERSISTENT, targets=(1,)), allow_partial=True
+    )
+
+    def test_plain_job_does_not_inherit_leader_faults(self, served, direct):
+        _, events, _, spec = served
+        with ReconstructionService(workers=1, executor="inline") as service:
+            leader = service.submit(events, spec, options=self.FAULTY)
+            plain = service.submit(events, spec)
+            # Interleaved twins still find the leader of their own kind.
+            faulty_twin = service.submit(events, spec, options=self.FAULTY)
+            plain_twin = service.submit(events, spec)
+            assert service.jobs[faulty_twin].coalesced_with == leader
+            assert service.jobs[plain_twin].coalesced_with == plain
+            service.drain()
+            assert service.poll(leader).state is JobState.PARTIAL
+            status = service.poll(plain)
+            assert not status.coalesced
+            assert status.state is JobState.DONE
+            assert_results_bit_identical(service.result(plain), direct)
+
+    def test_follower_deadline_is_armed(self, served):
+        _, events, _, spec = served
+        with ReconstructionService(workers=1, executor="inline") as service:
+            service.submit(events, spec)
+            job_id = service.submit(events, spec, options=JobOptions(deadline_s=60.0))
+            job = service.jobs[job_id]
+            assert job.coalesced_with is None
+            assert job.deadline_at is not None
+
+    def test_done_follower_reports_full_progress(self, served):
+        _, events, _, spec = served
+        with ReconstructionService(workers=1, executor="inline") as service:
+            service.submit(events, spec)
+            follower = service.submit(events, spec)
+            service.drain()
+            status = service.poll(follower)
+            assert status.coalesced and status.state is JobState.DONE
+            assert status.segments_total > 0
+            assert status.segments_done == status.segments_total
+
+    def test_partial_follower_reports_missing_segments(self, served):
+        _, events, _, spec = served
+        with ReconstructionService(workers=1, executor="inline") as service:
+            leader = service.submit(events, spec, options=self.FAULTY)
+            follower = service.submit(events, spec, options=self.FAULTY)
+            service.drain()
+            lead, follow = service.poll(leader), service.poll(follower)
+            assert follow.coalesced and follow.state is JobState.PARTIAL
+            assert follow.missing_segments == lead.missing_segments == (1,)
+            assert follow.segments_done == lead.segments_done == lead.segments_total - 1

@@ -18,6 +18,7 @@ from repro.core.engine import BACKENDS, ExecutionBackend, register_backend
 from repro.serve import (
     CacheConfig,
     JobFailed,
+    JobOptions,
     JobState,
     ReconstructionService,
     SessionBacklogFull,
@@ -132,7 +133,9 @@ class TestServiceDeterminism:
         """min_observations filters through the service exactly as direct."""
         seq, events, config, spec = served
         with ReconstructionService(workers=1, cache=CacheConfig(job_entries=0)) as service:
-            job_id = service.submit(events, spec, min_observations=2)
+            job_id = service.submit(
+                events, spec, options=JobOptions(min_observations=2)
+            )
             result = service.result(job_id)
         assert result.n_points == len(
             result.global_map.fused_cloud(min_observations=2)

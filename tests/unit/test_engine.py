@@ -6,12 +6,9 @@ import pytest
 from repro.core import (
     BACKENDS,
     EMVSConfig,
-    EMVSPipeline,
-    OnlineEMVS,
     ORIGINAL_POLICY,
     REFORMULATED_POLICY,
     ReconstructionEngine,
-    ReformulatedPipeline,
 )
 from repro.core.engine import ExecutionBackend, create_backend, register_backend
 from repro.core.policy import resolve_policy
@@ -173,47 +170,43 @@ class TestEngineLifecycle:
         )
 
 
-class TestFacadesDelegate:
-    """The three public pipeline classes are engine facades."""
+class TestIncrementalMapping:
+    """The SLAM-style interface: chunked pushes, key-frame callbacks, previews."""
 
-    def test_reformulated_matches_engine(self, scene, config):
-        seq, events = scene
-        facade = ReformulatedPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        direct = make_engine(seq, config, policy=REFORMULATED_POLICY).run(events)
-        np.testing.assert_allclose(
-            facade.cloud.points, direct.cloud.points, atol=1e-12
-        )
-        assert facade.profile.votes_cast == direct.profile.votes_cast
+    @pytest.fixture
+    def events(self, seq_3planes_fast):
+        return seq_3planes_fast.events.time_slice(0.6, 1.4)
 
-    def test_original_matches_engine(self, scene, config):
-        seq, events = scene
-        facade = EMVSPipeline(
-            seq.camera, config, depth_range=seq.depth_range
-        ).run(events, seq.trajectory)
-        direct = make_engine(seq, config, policy=ORIGINAL_POLICY).run(events)
-        np.testing.assert_allclose(
-            facade.cloud.points, direct.cloud.points, atol=1e-12
-        )
+    def test_keyframe_callback_fires(self, seq_3planes_fast, events, config):
+        seen = []
+        engine = make_engine(seq_3planes_fast, config, on_keyframe=seen.append)
+        engine.push(events)
+        engine.finish()
+        assert len(seen) == len(engine.keyframes) > 0
+        assert all(k.depth_map.n_points >= 0 for k in seen)
 
-    def test_online_exposes_engine(self, scene, config):
-        seq, _ = scene
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        assert isinstance(online.engine, ReconstructionEngine)
+    def test_keyframe_callback_can_be_assigned_late(
+        self, seq_3planes_fast, events, config
+    ):
+        """Reassigning on_keyframe after construction must take effect."""
+        engine = make_engine(seq_3planes_fast, config)
+        seen = []
+        engine.on_keyframe = seen.append
+        engine.push(events)
+        engine.finish()
+        assert len(seen) == len(engine.keyframes) > 0
 
-    def test_online_reports_dropped_tail(self, scene, config):
-        seq, events = scene
-        online = OnlineEMVS(
-            seq.camera, seq.trajectory, config, depth_range=seq.depth_range
-        )
-        online.push(events)
-        misses = online.profile.dropped_events
-        online.finish()
-        tail = len(events) % config.frame_size
-        assert online.profile.dropped_events == misses + tail
+    def test_preview_does_not_close_segment(self, seq_3planes_fast, config):
+        engine = make_engine(seq_3planes_fast, config)
+        engine.push(seq_3planes_fast.events.time_slice(0.9, 1.05))
+        assert engine.preview_depth_map() is not None
+        assert len(engine.keyframes) == 0
+
+    def test_events_pushed_counter(self, seq_3planes_fast, config):
+        events = seq_3planes_fast.events.time_slice(0.9, 1.0)
+        engine = make_engine(seq_3planes_fast, config)
+        engine.push(events)
+        assert engine.events_pushed == len(events)
 
 
 class TestNumpyBatchBackend:

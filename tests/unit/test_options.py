@@ -6,6 +6,7 @@ that they are the only spelling of these options on
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.serve import (
     RetryPolicy,
     ServiceConfig,
 )
+from repro.serve.gateway import Gateway
 
 
 class TestJobOptions:
@@ -154,6 +156,14 @@ class TestServiceConfig:
     def test_options_objects_are_the_only_spelling(self, kwargs):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ReconstructionService(workers=1, **kwargs)
+
+    @pytest.mark.parametrize("method", ["submit", "open_stream"])
+    def test_job_options_are_the_only_per_job_spelling(self, method):
+        """The service's job API takes exactly the gateway's parameters."""
+        service = inspect.signature(getattr(ReconstructionService, method))
+        gateway = inspect.signature(getattr(Gateway, method))
+        assert list(service.parameters) == list(gateway.parameters)
+        assert "voxel_size" not in service.parameters
 
     def test_config_defaults_are_value_objects(self):
         config = ServiceConfig()

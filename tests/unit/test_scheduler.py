@@ -13,7 +13,7 @@ from repro.core import EMVSConfig, EngineSpec
 from repro.core.mapping import SegmentPlan
 from repro.hardware.scheduler import FrameScheduler
 from repro.hardware.timing import FrameTiming
-from repro.serve import Job, JobState, Session
+from repro.serve import Job, JobOptions, JobState, Session
 from repro.serve.session import new_job_id
 
 
@@ -141,8 +141,7 @@ def _serve_job(session: Session, spec, events, n_segments: int = 2) -> Job:
         events=events,
         plans=plans,
         dropped_tail=0,
-        voxel_size=0.01,
-        min_observations=1,
+        options=JobOptions(voxel_size=0.01, min_observations=1),
         cache_key=None,
         submitted_at=0.0,
     )

@@ -13,6 +13,7 @@ from repro.core.engine import SegmentPlan
 from repro.serve import (
     OVERFLOW_POLICIES,
     CacheConfig,
+    JobOptions,
     JobState,
     ReconstructionService,
     ResultCache,
@@ -125,8 +126,7 @@ def make_job(session: str, n_segments: int, spec, events) -> Job:
         events=events,
         plans=plans,
         dropped_tail=0,
-        voxel_size=0.01,
-        min_observations=1,
+        options=JobOptions(voxel_size=0.01, min_observations=1),
         cache_key=None,
         submitted_at=0.0,
     )
@@ -294,9 +294,9 @@ class TestServiceValidation:
     def test_submit_validates_fuse_params(self, spec, events):
         with ReconstructionService(workers=1) as service:
             with pytest.raises(ValueError, match="voxel_size"):
-                service.submit(events, spec, voxel_size=0.0)
+                service.submit(events, spec, options=JobOptions(voxel_size=0.0))
             with pytest.raises(ValueError, match="min_observations"):
-                service.submit(events, spec, min_observations=0)
+                service.submit(events, spec, options=JobOptions(min_observations=0))
 
     def test_unknown_job_id(self):
         with ReconstructionService(workers=1) as service:

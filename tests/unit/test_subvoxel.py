@@ -80,3 +80,52 @@ class TestDetectionIntegration:
         refined = refine_subvoxel(dsi, idx)
         assert np.all(refined >= dsi.depths[0] * 0.95)
         assert np.all(refined <= dsi.depths[-1] * 1.05)
+
+
+def refine_subvoxel_oracle(dsi, indices):
+    """The full-volume formulation: saturate and cast every score first."""
+    scores = dsi.effective_scores().astype(float)
+    nz = scores.shape[0]
+    inv_depths = 1.0 / dsi.depths
+    idx = np.clip(indices, 1, nz - 2)
+    s_prev = np.take_along_axis(scores, (idx - 1)[None], axis=0)[0]
+    s_mid = np.take_along_axis(scores, idx[None], axis=0)[0]
+    s_next = np.take_along_axis(scores, (idx + 1)[None], axis=0)[0]
+    denom = s_prev - 2.0 * s_mid + s_next
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (s_prev - s_next) / denom
+    usable = (denom < 0) & np.isfinite(delta) & (indices >= 1) & (indices <= nz - 2)
+    delta = np.where(usable, np.clip(delta, -0.5, 0.5), 0.0)
+    lo = np.clip(idx - 1, 0, nz - 1)
+    hi = np.clip(idx + 1, 0, nz - 1)
+    step = 0.5 * (inv_depths[hi] - inv_depths[lo])
+    return 1.0 / (inv_depths[indices] + delta * step)
+
+
+class TestPlaneGatherMatchesOracle:
+    """Gathering three planes equals refining over the saturated volume."""
+
+    @pytest.mark.parametrize(
+        "integer_scores, score_limit",
+        [(False, None), (True, None), (True, 40)],
+    )
+    def test_bit_identical(self, small_camera, rng, integer_scores, score_limit):
+        dsi = DSI(
+            small_camera,
+            SE3.identity(),
+            depth_planes(1.0, 4.0, 16),
+            integer_scores=integer_scores,
+            score_limit=score_limit,
+        )
+        if integer_scores:
+            dsi.scores[...] = rng.integers(0, 60, size=dsi.shape)
+            # Whole saturated planes: every triplet touching them clamps.
+            dsi.scores[3] = 500
+            dsi.scores[4] = 80
+        else:
+            dsi.scores[...] = rng.random(dsi.shape) * 50.0
+        _, idx = dsi.argmax_projection()
+        for indices in (idx, rng.integers(0, 16, size=idx.shape)):
+            np.testing.assert_array_equal(
+                refine_subvoxel(dsi, indices), refine_subvoxel_oracle(dsi, indices)
+            )
